@@ -1,7 +1,7 @@
 """Per-block stationary-sinusoid estimation.
 
-Each length-N block is treated as a stationary complex sinusoid and processed
-by an iterative peel loop:
+Each length-N block is treated as a stationary complex sinusoid; blocks are
+independent, so an iterative peel loop processes a whole batch of them at once:
 
   1. window the (residual) block,
   2. locate the strongest FFT bin and compare it against a median-based noise
@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .iq import SampleStream
 
@@ -31,12 +32,11 @@ WINDOW_NAMES = ("triangular", "hamming", "rectangular")
 OVERLAP_MODES = ("none", "half")
 
 
-def wrap_phase(phi: float) -> float:
-    """Reduce an angle into the principal range (-pi, pi]."""
-    out = (phi + np.pi) % (2.0 * np.pi) - np.pi
-    if out <= -np.pi:
-        out += 2.0 * np.pi
-    return float(out)
+def wrap_phase(phi):
+    """Reduce angles into the principal range (-pi, pi]; a scalar stays a float."""
+    out = (np.asarray(phi, dtype=np.float64) + np.pi) % (2.0 * np.pi) - np.pi
+    out = np.where(out <= -np.pi, out + 2.0 * np.pi, out)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -160,11 +160,13 @@ def _correlation_bank(n, sample_rate_hz, fraction, span_bins):
 
     Row m of the matrix is exp(-j*2*pi*offset[m]*t_k); the search for any
     coarse frequency reuses it after mixing the block down by the coarse
-    frequency.
+    frequency.  Rows run 0, -1, +1, -2, +2, ... steps, so the first maximum
+    of a search breaks ties toward the coarse frequency, then downward.
     """
     bin_width = sample_rate_hz / n
     n_steps = int(round(span_bins / fraction))
-    offsets_hz = np.arange(-n_steps, n_steps + 1) * (fraction * bin_width)
+    steps = np.arange(2 * n_steps + 1)
+    offsets_hz = (steps + 1) // 2 * np.where(steps % 2, -1, 1) * (fraction * bin_width)
     t = _centered_times(n, sample_rate_hz)
     bank = np.exp(-2j * np.pi * np.outer(offsets_hz, t))
     offsets_hz.flags.writeable = False
@@ -178,35 +180,38 @@ def apply_window(block: np.ndarray, window: str) -> np.ndarray:
     return block * window_values(window, block.size)
 
 
+def _normalize(rows: np.ndarray):
+    """Rows scaled by 2**-e so each largest part lies in [0.5, 1) (exact), and e."""
+    parts = np.array(rows, dtype=np.complex128, ndmin=2).view(np.float64)
+    exps = np.frexp(np.abs(parts).max(axis=1))[1]
+    return np.ldexp(parts, -exps[:, None]).view(np.complex128), exps
+
+
+def _detect_rows(windowed: np.ndarray, threshold_db: float):
+    """Coarse bin, peak power, median floor and hit flag of each windowed row."""
+    power = np.abs(np.fft.fft(windowed, axis=1)) ** 2 / windowed.shape[1] ** 2
+    bins = np.argmax(power, axis=1)
+    peak = power[np.arange(len(bins)), bins]
+    floor = np.median(power, axis=1)
+    ratio = np.divide(peak, floor, out=np.full_like(peak, np.inf), where=floor > 0.0)
+    return bins, peak, floor, (peak != 0.0) & (ratio >= 10.0 ** (threshold_db / 10.0))
+
+
 def detect_peak(windowed_block: np.ndarray, threshold_db: float) -> Optional[PeakDetection]:
     """Strongest FFT bin, if it clears the SNR threshold over the median floor.
 
     Returns None when nothing is detected; an all-zero block never detects.
+    Scaling by a power of two before squaring keeps any amplitude detectable.
     """
-    power = np.abs(np.fft.fft(windowed_block)) ** 2 / windowed_block.size**2
-    coarse_bin = int(np.argmax(power))
-    peak = float(power[coarse_bin])
-    floor = float(np.median(power))
-    if peak == 0.0:
+    rows, exps = _normalize(windowed_block)
+    bins, peak, floor, hit = _detect_rows(rows, threshold_db)
+    if not hit[0]:
         return None
-    if floor > 0.0 and peak / floor < 10.0 ** (threshold_db / 10.0):
-        return None
-    return PeakDetection(coarse_bin, peak, floor)
-
-
-def bin_to_freq_hz(coarse_bin: int, n: int, sample_rate_hz: float) -> float:
-    """Center frequency of an FFT bin in baseband Hz (DFT bin ordering)."""
-    f = coarse_bin * sample_rate_hz / n
-    if f >= sample_rate_hz / 2:
-        f -= sample_rate_hz
-    return f
+    return PeakDetection(int(bins[0]), *np.ldexp([peak[0], floor[0]], 2 * exps[0]).tolist())
 
 
 def refine_frequency(
-    windowed_block: np.ndarray,
-    coarse_freq_hz: float,
-    sample_rate_hz: float,
-    config: StsaConfig,
+    windowed_block: np.ndarray, coarse_freq_hz: float, sample_rate_hz: float, config: StsaConfig
 ) -> float:
     """Grid argmax of the correlation magnitude around the coarse frequency.
 
@@ -220,18 +225,11 @@ def refine_frequency(
     )
     t = _centered_times(n, sample_rate_hz)
     mixed = windowed_block * np.exp(-2j * np.pi * coarse_freq_hz * t)
-    mags = np.abs(bank @ mixed)
-    peak = mags.max()
-    candidates = np.nonzero(mags == peak)[0]
-    best = min(candidates, key=lambda i: (abs(offsets_hz[i]), offsets_hz[i]))
-    return coarse_freq_hz + float(offsets_hz[best])
+    return coarse_freq_hz + float(offsets_hz[np.argmax(np.abs(bank @ mixed))])
 
 
 def estimate_amp_phase(
-    windowed_block: np.ndarray,
-    freq_hz: float,
-    window: str,
-    sample_rate_hz: float,
+    windowed_block: np.ndarray, freq_hz: float, window: str, sample_rate_hz: float
 ) -> tuple[float, float]:
     """Magnitude and center phase by correlation at the given frequency.
 
@@ -255,14 +253,61 @@ def subtract_sinusoid(
     return block - tone
 
 
+def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
+    """Peel loop over a (B, N) batch: each round handles every still-detecting block.
+
+    The winning fine-grid correlation gives amplitude, phase and the tone to
+    subtract; a block that stops keeps the floor of its failed detection.
+    """
+    n = config.block_len_n
+    w = window_values(config.window, n)
+    w_mean = _window_mean(config.window, n)
+    offsets_hz, bank = _correlation_bank(
+        n, sample_rate_hz, config.fine_grid_fraction, config.fine_search_span_bins
+    )
+    residual, exps = _normalize(blocks)  # outputs are scaled back by 2**exps
+    floors = np.zeros(len(residual))
+    active = np.arange(len(residual))
+    rounds = []
+    for _ in range(config.max_peel):
+        windowed = residual[active] * w
+        bins, _, floor, hit = _detect_rows(windowed, config.detect_threshold_db)
+        floors[active[~hit]] = floor[~hit]
+        active, windowed = active[hit], windowed[hit]
+        if not active.size:
+            break
+        coarse = bins[hit] * sample_rate_hz / n  # FFT bin center in baseband Hz
+        coarse[coarse >= sample_rate_hz / 2] -= sample_rate_hz
+        mixer = np.exp(-2j * np.pi * coarse[:, None] * _centered_times(n, sample_rate_hz))
+        corr = (windowed * mixer) @ bank.T
+        best = np.argmax(np.abs(corr), axis=1)
+        c = corr[np.arange(active.size), best] / n
+        freq = coarse + offsets_hz[best]
+        phase = wrap_phase(np.angle(c))
+        # fold the search overshoot at the Nyquist edge back into the principal
+        # span; with center-referenced times that rotates the phase by pi*(N-1)
+        fold = np.abs(freq) >= sample_rate_hz / 2
+        freq[fold] -= np.sign(freq[fold]) * sample_rate_hz
+        phase[fold] = wrap_phase(phase[fold] + np.pi * ((n - 1) % 2))
+        residual[active] -= (c / w_mean)[:, None] * np.conj(mixer * bank[best])
+        amp = np.ldexp(np.abs(c) / w_mean, exps[active])
+        rounds.append([v.tolist() for v in (active, amp, freq, phase)])
+    if active.size:  # these reached max_peel: floor of the final residual
+        floors[active] = _detect_rows(residual[active] * w, config.detect_threshold_db)[2]
+    powers = np.mean(np.abs(residual) ** 2, axis=1)
+    per_block = [[] for _ in range(len(residual))]
+    for rank, columns in enumerate(rounds):
+        for row, a, f, p in zip(*columns):
+            per_block[row].append(SinusoidEstimate(a, f, p, first_index + row, t_centers[row], rank))
+    return [BlockEstimates(first_index + row, tuple(ests), power, floor) for row, (ests, power, floor)
+            in enumerate(zip(per_block, *np.ldexp([powers, floors], 2 * exps).tolist()))]
+
+
 def estimate_block(
-    block: np.ndarray,
-    config: StsaConfig,
-    sample_rate_hz: float,
-    t_center_s: float = 0.0,
-    block_index: int = 0,
+    block: np.ndarray, config: StsaConfig, sample_rate_hz: float,
+    t_center_s: float = 0.0, block_index: int = 0,
 ) -> BlockEstimates:
-    """Run the full peel loop on one block.
+    """Run the full peel loop on one block (a batch of one).
 
     Each iteration re-windows the current unwindowed residual, so earlier
     subtractions sharpen later detections.  Stops at the detection threshold
@@ -273,31 +318,7 @@ def estimate_block(
         raise ValueError(
             f"block length {block.size} != configured block_len_n {config.block_len_n}"
         )
-    residual = block.copy()
-    estimates = []
-    for rank in range(config.max_peel):
-        windowed = apply_window(residual, config.window)
-        detection = detect_peak(windowed, config.detect_threshold_db)
-        if detection is None:
-            break
-        coarse = bin_to_freq_hz(detection.coarse_bin, block.size, sample_rate_hz)
-        freq = refine_frequency(windowed, coarse, sample_rate_hz, config)
-        amp, phase = estimate_amp_phase(windowed, freq, config.window, sample_rate_hz)
-        if abs(freq) >= sample_rate_hz / 2:
-            # fold the search overshoot at the Nyquist edge back into the
-            # principal span; with center-referenced times a full-rate shift
-            # also rotates the phase by pi*(N-1)
-            freq -= np.sign(freq) * sample_rate_hz
-            phase = wrap_phase(phase + np.pi * ((block.size - 1) % 2))
-        est = SinusoidEstimate(amp, freq, phase, block_index, t_center_s, rank)
-        residual = subtract_sinusoid(residual, est, sample_rate_hz)
-        estimates.append(est)
-    final_windowed = apply_window(residual, config.window)
-    floor = float(
-        np.median(np.abs(np.fft.fft(final_windowed)) ** 2 / block.size**2)
-    )
-    residual_power = float(np.mean(np.abs(residual) ** 2))
-    return BlockEstimates(block_index, tuple(estimates), residual_power, floor)
+    return _estimate_blocks(block.reshape(1, -1), config, sample_rate_hz, [t_center_s], block_index)[0]
 
 
 def block_center_time(stream: SampleStream, config: StsaConfig, block_index: int) -> float:
@@ -305,24 +326,23 @@ def block_center_time(stream: SampleStream, config: StsaConfig, block_index: int
     return stream.t0_s + (start + (config.block_len_n - 1) / 2.0) / stream.sample_rate_hz
 
 
+# Samples per batch of blocks: enough blocks to amortize each round's
+# overhead, few enough to bound the round's temporaries.
+_BATCH_SAMPLES = 2**20
+
+
 def process_stream(stream: SampleStream, config: StsaConfig) -> list[BlockEstimates]:
     """Estimate every complete block of the stream (tail samples are dropped)."""
     n = config.block_len_n
-    hop = config.hop
     if len(stream) < n:
         return []
+    blocks = sliding_window_view(stream.samples, n)[:: config.hop]
+    batch = max(1, _BATCH_SAMPLES // n)
     results = []
-    for index, start in enumerate(range(0, len(stream) - n + 1, hop)):
-        block = stream.samples[start : start + n]
-        results.append(
-            estimate_block(
-                block,
-                config,
-                stream.sample_rate_hz,
-                t_center_s=block_center_time(stream, config, index),
-                block_index=index,
-            )
-        )
+    for first in range(0, len(blocks), batch):
+        rows = blocks[first : first + batch]
+        times = [block_center_time(stream, config, i) for i in range(first, first + len(rows))]
+        results += _estimate_blocks(rows, config, stream.sample_rate_hz, times, first)
     return results
 
 

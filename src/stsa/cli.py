@@ -223,7 +223,7 @@ def _sample_count(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    fmt = IqFormat.from_name(args.format)
+    fmt = IqFormat(args.format)
     n = _sample_count(args)
     snr_band = tuple(args.snr_band) if args.snr_band else None
     if args.tone:
@@ -246,7 +246,7 @@ def cmd_generate(args) -> int:
         stream, truth = siggen.gen_nbfm(spec, args.rate)
         if snr_band is None:
             snr_band = spec.carson_band_hz()
-    if math.isfinite(args.snr):
+    if args.snr != math.inf:
         if snr_band is None:
             raise ValueError("--snr needs --snr-band (only NBFM has a default band)")
         stream = siggen.add_awgn(stream, args.snr, snr_band, args.seed + 1)
@@ -306,7 +306,7 @@ def cmd_cancel(args) -> int:
         estimate_path=args.out_estimate,
         tracks_path=args.out_tracks,
         report_path=args.report,
-        fmt=IqFormat.from_name(args.format),
+        fmt=IqFormat(args.format),
         sample_rate_hz=args.rate,
         seed=args.seed,
         band_hz=tuple(args.band) if args.band else None,
@@ -322,7 +322,7 @@ def cmd_cancel(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    fmt = IqFormat.from_name(args.format)
+    fmt = IqFormat(args.format)
     if args.suppression:
         if not args.before or not args.after or not args.band:
             raise ValueError("--suppression needs --before, --after, and --band")

@@ -32,10 +32,7 @@ class IqFormat(enum.Enum):
         return 2 if self is IqFormat.INT8 else 8
 
     @classmethod
-    def from_name(cls, name: str) -> "IqFormat":
-        for fmt in cls:
-            if fmt.value == name:
-                return fmt
+    def _missing_(cls, name):
         raise ValueError(f"unknown IQ format {name!r} (expected 'i8' or 'f32')")
 
 

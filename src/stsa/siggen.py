@@ -254,10 +254,13 @@ def add_awgn(
 
     The noise is flat across the full Nyquist span; its variance is chosen so
     that (stream power) / (noise power falling inside signal_band_hz) equals
-    10**(snr_db/10).  snr_db = inf returns the stream unchanged.
+    10**(snr_db/10).  snr_db = inf returns the stream unchanged; -inf and NaN
+    raise ValueError.
     """
-    if math.isinf(snr_db) and snr_db > 0:
+    if snr_db == math.inf:
         return stream
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     lo, hi = signal_band_hz
     nyq = stream.sample_rate_hz / 2
     if not (-nyq <= lo < hi <= nyq):

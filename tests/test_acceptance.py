@@ -75,6 +75,15 @@ def fm_scenario():
     }
 
 
+def test_reference_scenario_counts(fm_scenario):
+    """The single pass peels 15,478 sinusoids from 8,000 blocks into 43 tracks."""
+    single = fm_scenario["single"]
+    blocks = single.blocks_per_pass[0]
+    assert len(blocks) == 8000
+    assert sum(len(b.estimates) for b in blocks) == 15478
+    assert len(single.tracks_per_pass[0]) == 43
+
+
 def test_criterion_1_nbfm_reproduction(fm_scenario):
     s = fm_scenario
     supp1 = s["rep1"].suppression_db

@@ -1,5 +1,7 @@
 """Per-block estimator tests: detection, refinement, correlation, peel loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,13 @@ class TestDetectPeak:
         det = detect_peak(apply_window(block, "triangular"), 10.0)
         assert det is not None
         assert det.coarse_bin == 10
+
+    @pytest.mark.parametrize("amp", [1e-300, 1e300])
+    def test_extreme_amplitude_dc_detected(self, amp):
+        # the reported powers (~amp**2) saturate to 0 or inf
+        with np.errstate(over="ignore"):
+            det = detect_peak(np.full(N, amp, complex), 10.0)
+        assert det is not None and det.coarse_bin == 0
 
     def test_all_zeros_no_detection(self):
         assert detect_peak(np.zeros(N, complex), 10.0) is None
@@ -255,6 +264,17 @@ class TestEstimateBlock:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="block length"):
             estimate_block(np.zeros(128, complex), StsaConfig(), RATE)
+
+    @pytest.mark.parametrize("amp", [1e-300, 1e300])
+    def test_extreme_amplitude_block_one_dc_estimate(self, amp):
+        # noiseless, so capped at the true count (see the two-tone test)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            be = estimate_block(np.full(N, amp, complex), StsaConfig(max_peel=1), RATE)
+        assert len(be.estimates) == 1
+        est = be.estimates[0]
+        assert est.freq_hz == 0.0 and est.phase_rad == 0.0
+        assert est.amp == pytest.approx(amp, rel=1e-12)
 
     def test_all_zero_block_empty(self):
         be = estimate_block(np.zeros(N, complex), StsaConfig(), RATE)

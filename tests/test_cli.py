@@ -59,6 +59,14 @@ class TestGenerate:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("snr", ["--snr=-inf", "--snr=nan"])
+    def test_non_finite_snr_is_parameter_error(self, tmp_path, capsys, snr):
+        out = tmp_path / "x.iq"
+        code = run(["generate", "--nbfm", "--rate", RATE, "--dur", "0.01", snr, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: snr_db must be finite")
+        assert not out.exists()
+
     def test_int8_output(self, tmp_path):
         out = tmp_path / "i8.iq"
         code = run([

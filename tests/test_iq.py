@@ -106,7 +106,7 @@ def test_stream_is_immutable():
 
 
 def test_format_names():
-    assert IqFormat.from_name("i8") is IqFormat.INT8
-    assert IqFormat.from_name("f32") is IqFormat.FLOAT32
-    with pytest.raises(ValueError):
-        IqFormat.from_name("s16")
+    assert IqFormat("i8") is IqFormat.INT8
+    assert IqFormat("f32") is IqFormat.FLOAT32
+    with pytest.raises(ValueError, match=r"unknown IQ format 's16' \(expected 'i8' or 'f32'\)"):
+        IqFormat("s16")

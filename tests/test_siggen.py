@@ -204,6 +204,12 @@ class TestAwgn:
         with pytest.raises(ValueError, match="zero-power"):
             add_awgn(empty, 10.0, self.BAND, 0)
 
+    @pytest.mark.parametrize("snr_db", [-np.inf, np.nan])
+    def test_non_finite_snr_rejected(self, snr_db):
+        s, _ = gen_tone(1.0, 1000.0, 0.0, 256, RATE)
+        with pytest.raises(ValueError, match=f"snr_db must be finite or \\+inf, got {snr_db}"):
+            add_awgn(s, snr_db, self.BAND, 0)
+
     def test_band_outside_nyquist_rejected(self):
         s, _ = gen_tone(1.0, 0.0, 0.0, 64, RATE)
         with pytest.raises(ValueError, match="Nyquist"):
