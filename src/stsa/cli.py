@@ -21,29 +21,6 @@ WINDOW_FLAGS = {"tri": "triangular", "hamming": "hamming", "rect": "rectangular"
 
 
 @dataclass
-class RunManifest:
-    """Everything one cancellation run depends on, for reproducibility."""
-
-    config: StsaConfig
-    input_path: str
-    residual_path: str | None = None
-    estimate_path: str | None = None
-    tracks_path: str | None = None
-    report_path: str | None = None
-    fmt: IqFormat = IqFormat.FLOAT32
-    sample_rate_hz: float = 0.0
-    seed: int | None = None
-    band_hz: tuple[float, float] | None = None
-    pass_count: int = 1
-    strongest_only: bool = False
-    jump_limit_bins: float = synthesis.DEFAULT_JUMP_LIMIT_BINS
-
-    def __post_init__(self):
-        if self.pass_count < 1:
-            raise ValueError("pass_count must be at least 1")
-
-
-@dataclass
 class CancelResult:
     residual: SampleStream
     estimate: SampleStream
@@ -65,6 +42,8 @@ def run_cancel(
     codec between passes, so an n-pass run is byte-identical to n chained
     single-pass runs over files of that format.
     """
+    if passes < 1:
+        raise ValueError(f"passes must be at least 1, got {passes}")
     work = stream
     result = CancelResult(stream, stream)
     for p in range(passes):
@@ -73,9 +52,7 @@ def run_cancel(
         if strongest_only and tracks:
             tracks = [max(tracks, key=Track.total_energy)]
         meta = (len(work), work.sample_rate_hz, work.t0_s)
-        waves = [synthesis.synthesize(t, meta, config) for t in tracks]
-        combined = synthesis.combine_waveforms(waves, len(work))
-        residual = synthesis.cancel(work, combined)
+        residual = synthesis.cancel(work, synthesis.synthesize(tracks, meta, config))
         if inter_pass_format is not None and p < passes - 1:
             residual = iq.decode_iq(
                 iq.encode_iq(residual, inter_pass_format),
@@ -171,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="track association limit in bins per block step")
     c.add_argument("--band", type=float, nargs=2, metavar=("LO", "HI"),
                    help="signal band for the suppression report")
-    c.add_argument("--seed", type=int, default=None, help="recorded in the manifest")
     c.add_argument("--out-residual", required=True, help="residual IQ path")
     c.add_argument("--out-estimate", default=None, help="estimated-waveform IQ path")
     c.add_argument("--out-tracks", default=None,
@@ -259,36 +235,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def execute_manifest(manifest: RunManifest) -> CancelResult:
-    stream = iq.read_iq(manifest.input_path, manifest.fmt, manifest.sample_rate_hz)
-    result = run_cancel(
-        stream,
-        manifest.config,
-        passes=manifest.pass_count,
-        strongest_only=manifest.strongest_only,
-        jump_limit_bins=manifest.jump_limit_bins,
-        inter_pass_format=manifest.fmt,
-    )
-    if manifest.residual_path:
-        iq.write_iq(result.residual, manifest.residual_path, manifest.fmt)
-    if manifest.estimate_path:
-        iq.write_iq(result.estimate, manifest.estimate_path, manifest.fmt)
-    if manifest.tracks_path:
-        all_tracks = []
-        offset = 0
-        for pass_tracks in result.tracks_per_pass:
-            for trk in pass_tracks:
-                all_tracks.append(Track(trk.entries, trk.signal_id + offset))
-            offset += len(pass_tracks)
-        synthesis.write_tracks_csv(all_tracks, manifest.tracks_path)
-    if manifest.band_hz is not None:
-        report = metrics.suppression_report(stream, result.residual, manifest.band_hz)
-        print(metrics.format_report(report))
-        if manifest.report_path:
-            metrics.write_report_csv(report, manifest.report_path)
-    return result
-
-
 def cmd_cancel(args) -> int:
     config = StsaConfig(
         block_len_n=args.n,
@@ -299,25 +245,35 @@ def cmd_cancel(args) -> int:
         max_peel=args.max_peel,
         overlap=args.overlap,
     )
-    manifest = RunManifest(
-        config=config,
-        input_path=args.input,
-        residual_path=args.out_residual,
-        estimate_path=args.out_estimate,
-        tracks_path=args.out_tracks,
-        report_path=args.report,
-        fmt=IqFormat(args.format),
-        sample_rate_hz=args.rate,
-        seed=args.seed,
-        band_hz=tuple(args.band) if args.band else None,
-        pass_count=args.passes,
+    fmt = IqFormat(args.format)
+    stream = iq.read_iq(args.input, fmt, args.rate)
+    result = run_cancel(
+        stream,
+        config,
+        passes=args.passes,
         strongest_only=args.strongest_only,
         jump_limit_bins=args.jump_limit,
+        inter_pass_format=fmt,
     )
-    result = execute_manifest(manifest)
+    iq.write_iq(result.residual, args.out_residual, fmt)
+    if args.out_estimate:
+        iq.write_iq(result.estimate, args.out_estimate, fmt)
+    if args.out_tracks:
+        all_tracks = []
+        offset = 0
+        for pass_tracks in result.tracks_per_pass:
+            for trk in pass_tracks:
+                all_tracks.append(Track(trk.entries, trk.signal_id + offset))
+            offset += len(pass_tracks)
+        synthesis.write_tracks_csv(all_tracks, args.out_tracks)
+    if args.band:
+        report = metrics.suppression_report(stream, result.residual, tuple(args.band))
+        print(metrics.format_report(report))
+        if args.report:
+            metrics.write_report_csv(report, args.report)
     n_tracks = sum(len(t) for t in result.tracks_per_pass)
-    print(f"wrote residual to {manifest.residual_path} ({n_tracks} tracks over "
-          f"{manifest.pass_count} pass(es))")
+    print(f"wrote residual to {args.out_residual} ({n_tracks} tracks over "
+          f"{args.passes} pass(es))")
     return 0
 
 

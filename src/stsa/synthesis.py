@@ -1,7 +1,7 @@
 """Track assembly, waveform synthesis, and coherent subtraction.
 
 Per-block sinusoid estimates are chained into tracks by greedy
-nearest-frequency association.  Each track is rendered into a noise-free
+nearest-frequency association.  All tracks are summed into one noise-free
 waveform: between the centers of adjacent blocks the two blocks' sinusoids
 are cross-faded linearly, which keeps the waveform continuous while leaving
 each block's own estimate exact at its center.  The rendered waveform is then
@@ -64,6 +64,8 @@ def assemble_tracks(
     jump_limit_bins bins per elapsed block, otherwise it starts a new track.
     A track accepts at most one estimate per block.
     """
+    if not jump_limit_bins > 0:
+        raise ValueError(f"jump_limit_bins must be positive, got {jump_limit_bins!r}")
     bin_width = config.bin_width_hz(sample_rate_hz)
     open_tracks: list[dict] = []
     last_index = None
@@ -107,19 +109,18 @@ def _tone_at(est: SinusoidEstimate, sample_indices: np.ndarray, center_index: fl
 
 
 def synthesize(
-    track: Track,
+    tracks: list[Track],
     stream_meta: tuple[int, float, float],
     config: StsaConfig,
 ) -> SynthesizedWaveform:
-    """Render one track into a waveform on the stream's sample grid.
+    """Render every track, summed in list order, into one waveform on the stream's grid.
 
     Between the centers of estimates in adjacent blocks the two sinusoids are
     blended as (1-a)*x_i + a*x_j with a running 0 -> 1; the outer half-blocks
-    use the nearest estimate unblended.  Detection gaps wider than one block
-    step are left at zero (coverage False) rather than bridged.
+    of a run of adjacent estimates use the nearest estimate unblended.
+    Detection gaps wider than one block step are left at zero (coverage
+    False) rather than bridged.
     """
-    if not track.entries:
-        raise ValueError("cannot synthesize an empty track")
     length, sample_rate_hz, _t0 = stream_meta
     n = config.block_len_n
     hop = config.hop
@@ -129,53 +130,39 @@ def synthesize(
     def center_of(e):
         return e.block_index * hop + (n - 1) / 2.0
 
-    def fill(lo: int, hi: int, values: np.ndarray):
-        lo = max(lo, 0)
-        hi = min(hi, length)
-        if lo < hi:
-            out[lo:hi] = values[: hi - lo]
-            covered[lo:hi] = True
+    def grid(lo: int, hi: int) -> np.ndarray:
+        return np.arange(lo, min(hi, length), dtype=np.float64)
 
-    entries = track.entries
-    first, last = entries[0], entries[-1]
+    def add(lo: int, values: np.ndarray):
+        out[lo : lo + values.size] += values
+        covered[lo : lo + values.size] = True
 
-    # Leading half-block: nearest (first) estimate, unblended.
-    start0 = first.block_index * hop
-    c0 = int(np.ceil(center_of(first)))
-    idx = np.arange(start0, min(c0, length))
-    fill(start0, c0, _tone_at(first, idx, center_of(first), sample_rate_hz))
-
-    for ea, eb in zip(entries, entries[1:]):
-        ca, cb = center_of(ea), center_of(eb)
-        ia, ib = int(np.ceil(ca)), int(np.ceil(cb))
-        if eb.block_index - ea.block_index == 1:
-            idx = np.arange(ia, ib, dtype=np.float64)
-            alpha = (idx - ca) / (cb - ca)
-            blend = (1.0 - alpha) * _tone_at(ea, idx, ca, sample_rate_hz) + alpha * _tone_at(
-                eb, idx, cb, sample_rate_hz
-            )
-            fill(ia, ib, blend)
-        else:
-            # Gap: each side covers only its own block, zeros in between.
-            end_a = ea.block_index * hop + n
-            idx = np.arange(ia, min(end_a, length), dtype=np.float64)
-            fill(ia, end_a, _tone_at(ea, idx, ca, sample_rate_hz))
-            start_b = eb.block_index * hop
-            idx = np.arange(start_b, min(ib, length), dtype=np.float64)
-            fill(start_b, ib, _tone_at(eb, idx, cb, sample_rate_hz))
-
-    # Trailing half-block.
-    c_last = center_of(last)
-    i_last = int(np.ceil(c_last))
-    end_last = last.block_index * hop + n
-    idx = np.arange(i_last, min(end_last, length), dtype=np.float64)
-    fill(i_last, end_last, _tone_at(last, idx, c_last, sample_rate_hz))
+    for track in tracks:
+        entries = track.entries
+        if not entries:
+            raise ValueError("cannot synthesize an empty track")
+        for i, e in enumerate(entries):
+            start, c = e.block_index * hop, center_of(e)
+            ic = int(np.ceil(c))
+            if i == 0 or e.block_index - entries[i - 1].block_index > 1:
+                # Own tone on the left half-block where a run begins.
+                add(start, _tone_at(e, grid(start, ic), c, sample_rate_hz))
+            nxt = entries[i + 1] if i + 1 < len(entries) else None
+            if nxt is not None and nxt.block_index - e.block_index == 1:
+                cn = center_of(nxt)
+                idx = grid(ic, int(np.ceil(cn)))
+                alpha = (idx - c) / (cn - c)
+                add(ic, (1.0 - alpha) * _tone_at(e, idx, c, sample_rate_hz)
+                    + alpha * _tone_at(nxt, idx, cn, sample_rate_hz))
+            else:
+                # Own tone on the right half-block where a run ends.
+                add(ic, _tone_at(e, grid(ic, start + n), c, sample_rate_hz))
 
     return SynthesizedWaveform(out, covered)
 
 
 def combine_waveforms(waveforms: list[SynthesizedWaveform], length: int) -> SynthesizedWaveform:
-    """Sum per-track waveforms into one cancelable estimate."""
+    """Sum separately rendered waveforms into one cancelable estimate."""
     total = np.zeros(length, dtype=np.complex128)
     covered = np.zeros(length, dtype=bool)
     for w in waveforms:

@@ -332,7 +332,7 @@ def test_criterion_8_invariant_suite(fm_scenario):
                          (b * n_odd + (n_odd - 1) / 2) / RATE, 0)
         for b in range(3)
     )
-    wave = synthesize(Track(entries, 0), (3 * n_odd, RATE, 0.0), cfg_odd)
+    wave = synthesize([Track(entries, 0)], (3 * n_odd, RATE, 0.0), cfg_odd)
     anchor_ok = all(
         wave.samples[b * n_odd + (n_odd - 1) // 2] == 0.8 * np.exp(1j * (0.3 + 0.1 * b))
         for b in range(3)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from stsa.blockproc import StsaConfig
-from stsa.cli import RunManifest, main
-from stsa.iq import IqFormat, read_iq
+from stsa.cli import main, run_cancel
+from stsa.iq import IqFormat, SampleStream, read_iq, write_iq
 
 RATE = "2048000"
 
@@ -14,9 +14,18 @@ def run(argv):
     return main(argv)
 
 
-def test_manifest_requires_at_least_one_pass():
-    with pytest.raises(ValueError, match="pass_count"):
-        RunManifest(config=StsaConfig(), input_path="x.iq", pass_count=0)
+def test_cancel_requires_at_least_one_pass(tmp_path, capsys):
+    stream = SampleStream(np.ones(1024, complex), 2048000.0)
+    with pytest.raises(ValueError, match="passes must be at least 1"):
+        run_cancel(stream, StsaConfig(), passes=0)
+    src = tmp_path / "in.iq"
+    resid = tmp_path / "resid.iq"
+    write_iq(stream, src, IqFormat.FLOAT32)
+    code = run(["cancel", "--in", str(src), "--rate", RATE, "--passes", "0",
+                "--out-residual", str(resid)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: passes must be at least 1")
+    assert not resid.exists()
 
 
 class TestGenerate:
@@ -113,8 +122,6 @@ class TestCancel:
         rng = np.random.default_rng(0)
         noise = (rng.standard_normal(4096) + 1j * rng.standard_normal(4096)) * 0.1
         src = tmp_path / "noise.iq"
-        from stsa.iq import SampleStream, write_iq
-
         write_iq(SampleStream(noise, 2048000.0), src, IqFormat.FLOAT32)
         resid = tmp_path / "resid.iq"
         code = run([
@@ -173,6 +180,18 @@ class TestCancel:
         assert code == 0
         assert "suppression_db" in capsys.readouterr().out
         assert rep.exists()
+
+    @pytest.mark.parametrize("limit", ["0", "-0.5", "nan"])
+    def test_non_positive_jump_limit_is_parameter_error(self, tmp_path, capsys, limit):
+        src = self.gen_tone_file(tmp_path, n=2560)
+        resid = tmp_path / "resid.iq"
+        code = run([
+            "cancel", "--in", str(src), "--rate", RATE, f"--jump-limit={limit}",
+            "--out-residual", str(resid),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: jump_limit_bins must be positive")
+        assert not resid.exists()
 
     def test_missing_input_io_error(self, tmp_path, capsys):
         code = run([

@@ -1,0 +1,175 @@
+"""The single-buffer synthesize against the per-track renderer it replaced.
+
+The oracle below is the earlier per-track synthesize: one full-length buffer
+and coverage mask per track, filled through lead, blend, gap and trail
+branches.  Summing its waveforms with combine_waveforms must give exactly the
+bits of one synthesize call over the whole track list, samples and coverage.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stsa.blockproc import SinusoidEstimate, StsaConfig, process_stream
+from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm, mix
+from stsa.synthesis import (
+    SynthesizedWaveform,
+    Track,
+    _tone_at,
+    assemble_tracks,
+    combine_waveforms,
+    synthesize,
+)
+
+RATE = 2048000.0
+
+
+def oracle_synthesize(
+    track: Track,
+    stream_meta: tuple[int, float, float],
+    config: StsaConfig,
+) -> SynthesizedWaveform:
+    """Render one track into a waveform on the stream's sample grid.
+
+    Between the centers of estimates in adjacent blocks the two sinusoids are
+    blended as (1-a)*x_i + a*x_j with a running 0 -> 1; the outer half-blocks
+    use the nearest estimate unblended.  Detection gaps wider than one block
+    step are left at zero (coverage False) rather than bridged.
+    """
+    if not track.entries:
+        raise ValueError("cannot synthesize an empty track")
+    length, sample_rate_hz, _t0 = stream_meta
+    n = config.block_len_n
+    hop = config.hop
+    out = np.zeros(length, dtype=np.complex128)
+    covered = np.zeros(length, dtype=bool)
+
+    def center_of(e):
+        return e.block_index * hop + (n - 1) / 2.0
+
+    def fill(lo: int, hi: int, values: np.ndarray):
+        lo = max(lo, 0)
+        hi = min(hi, length)
+        if lo < hi:
+            out[lo:hi] = values[: hi - lo]
+            covered[lo:hi] = True
+
+    entries = track.entries
+    first, last = entries[0], entries[-1]
+
+    # Leading half-block: nearest (first) estimate, unblended.
+    start0 = first.block_index * hop
+    c0 = int(np.ceil(center_of(first)))
+    idx = np.arange(start0, min(c0, length))
+    fill(start0, c0, _tone_at(first, idx, center_of(first), sample_rate_hz))
+
+    for ea, eb in zip(entries, entries[1:]):
+        ca, cb = center_of(ea), center_of(eb)
+        ia, ib = int(np.ceil(ca)), int(np.ceil(cb))
+        if eb.block_index - ea.block_index == 1:
+            idx = np.arange(ia, ib, dtype=np.float64)
+            alpha = (idx - ca) / (cb - ca)
+            blend = (1.0 - alpha) * _tone_at(ea, idx, ca, sample_rate_hz) + alpha * _tone_at(
+                eb, idx, cb, sample_rate_hz
+            )
+            fill(ia, ib, blend)
+        else:
+            # Gap: each side covers only its own block, zeros in between.
+            end_a = ea.block_index * hop + n
+            idx = np.arange(ia, min(end_a, length), dtype=np.float64)
+            fill(ia, end_a, _tone_at(ea, idx, ca, sample_rate_hz))
+            start_b = eb.block_index * hop
+            idx = np.arange(start_b, min(ib, length), dtype=np.float64)
+            fill(start_b, ib, _tone_at(eb, idx, cb, sample_rate_hz))
+
+    # Trailing half-block.
+    c_last = center_of(last)
+    i_last = int(np.ceil(c_last))
+    end_last = last.block_index * hop + n
+    idx = np.arange(i_last, min(end_last, length), dtype=np.float64)
+    fill(i_last, end_last, _tone_at(last, idx, c_last, sample_rate_hz))
+
+    return SynthesizedWaveform(out, covered)
+
+
+def assert_matches_oracle(tracks, meta, config):
+    got = synthesize(tracks, meta, config)
+    # a generator keeps one per-track buffer alive at a time
+    want = combine_waveforms((oracle_synthesize(t, meta, config) for t in tracks), meta[0])
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.coverage.tobytes() == want.coverage.tobytes()
+
+
+def stream_tracks(stream, config):
+    blocks = process_stream(stream, config)
+    return assemble_tracks(blocks, config, stream.sample_rate_hz)
+
+
+def test_acceptance_fm_scenario():
+    spec = NbfmSpec(carrier_offset_hz=0.0, deviation_hz=4000.0, duration_s=1.0,
+                    mod_noise_bw_hz=1000.0, mod_noise_seed=7, mod_noise_rms=0.9)
+    clean, _ = gen_nbfm(spec, RATE)
+    noisy = add_awgn(clean, 34.0, spec.carson_band_hz(), 99)
+    config = StsaConfig(detect_threshold_db=9.0, max_peel=3)
+    tracks = stream_tracks(noisy, config)
+    assert len(tracks) == 43
+    assert_matches_oracle(tracks, (len(noisy), RATE, 0.0), config)
+
+
+def test_three_station_mixture():
+    streams = []
+    for offset, amp, seed in [(-25000.0, 1.0, 31), (0.0, 10 ** -0.5, 32),
+                              (25000.0, 10 ** -0.7, 33)]:
+        spec = NbfmSpec(carrier_offset_hz=offset, deviation_hz=4000.0, duration_s=1.0,
+                        amp=amp, mod_noise_bw_hz=1000.0, mod_noise_seed=seed)
+        streams.append(gen_nbfm(spec, RATE)[0])
+    mixed = mix(streams)
+    snr_arg = 34.0 + 10 * np.log10(mixed.power() / streams[0].power())
+    noisy = add_awgn(mixed, snr_arg, (-30000.0, -20000.0), 44)
+    config = StsaConfig(detect_threshold_db=12.0)
+    tracks = stream_tracks(noisy, config)
+    assert sum(1 for t in tracks if len(t) > len(noisy) // (2 * config.block_len_n)) == 3
+    assert_matches_oracle(tracks, (len(noisy), RATE, 0.0), config)
+
+
+@st.composite
+def scenarios(draw):
+    """Random tracks over a short stream: gaps, overlapping tracks, odd N,
+    half overlap, and stream ends anywhere, mid-block included."""
+    n = draw(st.integers(8, 40))
+    overlap = draw(st.sampled_from(["none", "half"] if n % 2 == 0 else ["none"]))
+    config = StsaConfig(block_len_n=n, overlap=overlap)
+    n_blocks = draw(st.integers(1, 12))
+    length = draw(st.integers(0, (n_blocks - 1) * config.hop + n + 5))
+    values = st.floats(-1e3, 1e3, allow_nan=False)
+    tracks = []
+    for signal_id in range(draw(st.integers(0, 4))):
+        indices = sorted(draw(st.sets(st.integers(0, n_blocks - 1), min_size=1)))
+        entries = tuple(
+            SinusoidEstimate(draw(st.floats(0.0, 10.0)), draw(values) * 1e3, draw(values),
+                             b, (b * config.hop + (n - 1) / 2) / RATE, 0)
+            for b in indices
+        )
+        tracks.append(Track(entries, signal_id))
+    return tracks, (length, RATE, 0.0), config
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(scenarios())
+def test_random_track_sets(scenario):
+    assert_matches_oracle(*scenario)
+
+
+def test_no_tracks_render_zeros():
+    wave = synthesize([], (100, RATE, 0.0), StsaConfig())
+    assert wave.samples.tobytes() == np.zeros(100, np.complex128).tobytes()
+    assert not wave.coverage.any()
+
+
+def test_empty_track_rejected_anywhere_in_list():
+    config = StsaConfig(block_len_n=8)
+    full = Track((SinusoidEstimate(1.0, 0.0, 0.0, 0, 0.0, 0),), 0)
+    for tracks in ([Track((), 0)], [full, Track((), 1)]):
+        with pytest.raises(ValueError, match="empty track"):
+            synthesize(tracks, (64, RATE, 0.0), config)

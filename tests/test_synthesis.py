@@ -89,6 +89,12 @@ class TestAssembleTracks:
         tracks = assemble_tracks(blocks, self.CFG, RATE)
         assert sorted(len(t) for t in tracks) == [1, 2]
 
+    @pytest.mark.parametrize("limit", [0.0, -0.5, float("nan")])
+    def test_non_positive_jump_limit_rejected(self, limit):
+        blocks = blocks_from({0: [est(0, 0.0)], 1: [est(1, 0.0)]})
+        with pytest.raises(ValueError, match="jump_limit_bins must be positive"):
+            assemble_tracks(blocks, self.CFG, RATE, jump_limit_bins=limit)
+
     def test_out_of_order_blocks_rejected(self):
         blocks = blocks_from({0: [est(0, 0.0)], 1: [est(1, 0.0)]})[::-1]
         with pytest.raises(ValueError, match="order"):
@@ -98,7 +104,7 @@ class TestAssembleTracks:
 class TestSynthesize:
     def test_empty_track_rejected(self):
         with pytest.raises(ValueError):
-            synthesize(Track((), 0), (1024, RATE, 0.0), StsaConfig())
+            synthesize([Track((), 0)], (1024, RATE, 0.0), StsaConfig())
 
     def test_block_center_anchor_odd_n(self):
         # Odd block length puts centers on the sample grid; there the blend
@@ -109,7 +115,7 @@ class TestSynthesize:
         for b in range(4):
             t_center = (b * n_odd + (n_odd - 1) / 2) / RATE
             entries.append(SinusoidEstimate(0.8, 70000.0, 0.3 + 0.1 * b, b, t_center, 0))
-        wave = synthesize(Track(tuple(entries), 0), (4 * n_odd, RATE, 0.0), cfg)
+        wave = synthesize([Track(tuple(entries), 0)], (4 * n_odd, RATE, 0.0), cfg)
         for b in range(4):
             center_idx = b * n_odd + (n_odd - 1) // 2
             expected = 0.8 * np.exp(1j * (0.3 + 0.1 * b))
@@ -121,7 +127,7 @@ class TestSynthesize:
         blocks = process_stream(stream, cfg)
         tracks = assemble_tracks(blocks, cfg, RATE)
         assert len(tracks) == 1
-        wave = synthesize(tracks[0], (len(stream), RATE, 0.0), cfg)
+        wave = synthesize(tracks[:1], (len(stream), RATE, 0.0), cfg)
         assert wave.coverage.all()
         residual = cancel(stream, wave)
         ratio = residual.power() / stream.power()
@@ -134,7 +140,7 @@ class TestSynthesize:
             cfg = StsaConfig(max_peel=1, overlap=overlap)
             blocks = process_stream(stream, cfg)
             tracks = assemble_tracks(blocks, cfg, RATE)
-            wave = synthesize(tracks[0], (len(stream), RATE, 0.0), cfg)
+            wave = synthesize(tracks[:1], (len(stream), RATE, 0.0), cfg)
             powers[overlap] = cancel(stream, wave).power()
         assert powers["half"] <= powers["none"] + 1e-16
 
@@ -145,7 +151,7 @@ class TestSynthesize:
         amp = 1.0
         entries = (est(0, f, amp, 0.0), est(1, f, amp, 0.1))
         cfg = StsaConfig()
-        wave = synthesize(Track(entries, 0), (2 * N, RATE, 0.0), cfg)
+        wave = synthesize([Track(entries, 0)], (2 * N, RATE, 0.0), cfg)
         jumps = np.abs(np.diff(wave.samples[wave.coverage]))
         tone_rotation = 2 * amp * abs(np.sin(np.pi * f / RATE))
         assert jumps.max() <= tone_rotation + 1.2 * amp * 0.1 / N
@@ -164,7 +170,7 @@ class TestSynthesize:
         blocks = process_stream(noisy, cfg)
         tracks = assemble_tracks(blocks, cfg, RATE)
         main = max(tracks, key=lambda t: t.total_energy())
-        wave = synthesize(main, (len(noisy), RATE, 0.0), cfg)
+        wave = synthesize([main], (len(noisy), RATE, 0.0), cfg)
         amp_max = max(e.amp for e in main.entries)
         ideal_step = 2 * amp_max * np.sin(np.pi * 5000.0 / RATE)
         assert np.abs(np.diff(wave.samples)).max() <= 3 * ideal_step
@@ -172,7 +178,7 @@ class TestSynthesize:
     def test_gap_wider_than_one_block_zero_filled(self):
         entries = (est(0, 50000.0), est(3, 50000.0))
         cfg = StsaConfig()
-        wave = synthesize(Track(entries, 0), (4 * N, RATE, 0.0), cfg)
+        wave = synthesize([Track(entries, 0)], (4 * N, RATE, 0.0), cfg)
         # own blocks covered, the two missing blocks zero
         assert wave.coverage[:N].all()
         assert not wave.coverage[N : 3 * N].any()
@@ -181,13 +187,13 @@ class TestSynthesize:
 
     def test_adjacent_blocks_blend_continuously(self):
         entries = (est(0, 50000.0), est(1, 50080.0))
-        wave = synthesize(Track(entries, 0), (2 * N, RATE, 0.0), StsaConfig())
+        wave = synthesize([Track(entries, 0)], (2 * N, RATE, 0.0), StsaConfig())
         assert wave.coverage.all()
 
     def test_leading_and_trailing_edges_unblended(self):
         entries = (est(2, 40000.0, amp=0.5, phase=1.0),)
         cfg = StsaConfig()
-        wave = synthesize(Track(entries, 0), (5 * N, RATE, 0.0), cfg)
+        wave = synthesize([Track(entries, 0)], (5 * N, RATE, 0.0), cfg)
         assert not wave.coverage[: 2 * N].any()
         assert wave.coverage[2 * N : 3 * N].all()
         assert not wave.coverage[3 * N :].any()
