@@ -278,7 +278,9 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
             break
         coarse = bins[hit] * sample_rate_hz / n  # FFT bin center in baseband Hz
         coarse[coarse >= sample_rate_hz / 2] -= sample_rate_hz
-        mixer = np.exp(-2j * np.pi * coarse[:, None] * _centered_times(n, sample_rate_hz))
+        # the mixer depends only on the coarse bin: one row per distinct bin
+        bin_hz, row_of = np.unique(coarse, return_inverse=True)
+        mixer = np.exp(-2j * np.pi * bin_hz[:, None] * _centered_times(n, sample_rate_hz))[row_of]
         corr = (windowed * mixer) @ bank.T
         best = np.argmax(np.abs(corr), axis=1)
         c = corr[np.arange(active.size), best] / n

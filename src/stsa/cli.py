@@ -22,10 +22,16 @@ WINDOW_FLAGS = {"tri": "triangular", "hamming": "hamming", "rect": "rectangular"
 
 @dataclass
 class CancelResult:
+    original: SampleStream
     residual: SampleStream
-    estimate: SampleStream
     tracks_per_pass: list = field(default_factory=list)
     blocks_per_pass: list = field(default_factory=list)
+
+    @property
+    def estimate(self) -> SampleStream:
+        """What the passes removed, original - residual, built on each read."""
+        return SampleStream(self.original.samples - self.residual.samples,
+                            self.original.sample_rate_hz, self.original.t0_s)
 
 
 def run_cancel(
@@ -64,9 +70,6 @@ def run_cancel(
         result.tracks_per_pass.append(tracks)
         work = residual
     result.residual = work
-    result.estimate = SampleStream(
-        stream.samples - work.samples, stream.sample_rate_hz, stream.t0_s
-    )
     return result
 
 

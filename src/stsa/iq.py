@@ -80,16 +80,15 @@ def encode_iq(stream: SampleStream, fmt: IqFormat) -> bytes:
 
     int8 components outside [-1, 1] are clipped; a warning reports how many.
     """
-    interleaved = np.empty(2 * len(stream), dtype=np.float64)
-    interleaved[0::2] = stream.samples.real
-    interleaved[1::2] = stream.samples.imag
+    interleaved = np.ascontiguousarray(stream.samples).view(np.float64)  # I0, Q0, I1, ...
     if fmt is IqFormat.FLOAT32:
         return interleaved.astype("<f4").tobytes()
-    n_clipped = int(np.count_nonzero(np.abs(interleaved) > 1.0))
+    scaled = interleaved * INT8_SCALE  # exact, so |scaled| > 128 iff |component| > 1
+    n_clipped = int(np.count_nonzero(scaled > INT8_SCALE) + np.count_nonzero(scaled < -INT8_SCALE))
     if n_clipped:
         warnings.warn(f"int8 write clipped {n_clipped} out-of-range components")
-    quantized = np.clip(np.round(interleaved * INT8_SCALE), -128, 127)
-    return quantized.astype(np.int8).tobytes()
+    np.clip(np.round(scaled, out=scaled), -128, 127, out=scaled)
+    return scaled.astype(np.int8).tobytes()
 
 
 def decode_iq(data: bytes, fmt: IqFormat, sample_rate_hz: float, t0_s: float = 0.0) -> SampleStream:
@@ -99,12 +98,11 @@ def decode_iq(data: bytes, fmt: IqFormat, sample_rate_hz: float, t0_s: float = 0
         raise ValueError(
             f"truncated IQ data: trailing partial sample at byte offset {len(data) - len(data) % per}"
         )
+    raw = np.frombuffer(data, dtype=np.int8 if fmt is IqFormat.INT8 else "<f4").astype(np.float64)
     if fmt is IqFormat.INT8:
-        raw = np.frombuffer(data, dtype=np.int8).astype(np.float64) / INT8_SCALE
-    else:
-        raw = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    samples = raw[0::2] + 1j * raw[1::2]
-    return SampleStream(samples, sample_rate_hz, t0_s)
+        raw /= INT8_SCALE
+    raw += 0.0  # -0.0 reads as +0.0
+    return SampleStream(raw.view(np.complex128), sample_rate_hz, t0_s)
 
 
 def read_iq(path, fmt: IqFormat, sample_rate_hz: float, t0_s: float = 0.0) -> SampleStream:

@@ -10,11 +10,12 @@ subtracted sample-by-sample from the original stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blockproc import BlockEstimates, SinusoidEstimate, StsaConfig
+from .blockproc import BlockEstimates, StsaConfig
 from .iq import SampleStream
 
 DEFAULT_JUMP_LIMIT_BINS = 0.5
@@ -102,12 +103,6 @@ def assemble_tracks(
     ]
 
 
-def _tone_at(est: SinusoidEstimate, sample_indices: np.ndarray, center_index: float,
-             sample_rate_hz: float) -> np.ndarray:
-    dt = (sample_indices - center_index) / sample_rate_hz
-    return est.amp * np.exp(1j * (2.0 * np.pi * est.freq_hz * dt + est.phase_rad))
-
-
 def synthesize(
     tracks: list[Track],
     stream_meta: tuple[int, float, float],
@@ -120,45 +115,57 @@ def synthesize(
     of a run of adjacent estimates use the nearest estimate unblended.
     Detection gaps wider than one block step are left at zero (coverage
     False) rather than bridged.
+
+    Row r of the frame grid holds samples [ic0 + (r-1)*hop, ic0 + r*hop),
+    ic0 = ceil((N-1)/2), so block b's entry spans rows b and b+1.  Its tone
+    there is the outer product of two short phasor tables, both exactly 1 at
+    the block center, so a center on the sample grid is amp*exp(j*phase).
     """
     length, sample_rate_hz, _t0 = stream_meta
     n = config.block_len_n
     hop = config.hop
-    out = np.zeros(length, dtype=np.complex128)
-    covered = np.zeros(length, dtype=bool)
-
-    def center_of(e):
-        return e.block_index * hop + (n - 1) / 2.0
-
-    def grid(lo: int, hi: int) -> np.ndarray:
-        return np.arange(lo, min(hi, length), dtype=np.float64)
-
-    def add(lo: int, values: np.ndarray):
-        out[lo : lo + values.size] += values
-        covered[lo : lo + values.size] = True
+    ic0 = n // 2  # ceil((n - 1) / 2)
+    delta = ic0 - (n - 1) / 2.0
+    last = max((e.block_index for t in tracks for e in t.entries), default=-1)
+    rows = max(-(-(hop - ic0 + length) // hop), last + 2)
+    frames = np.zeros((rows, hop), dtype=np.complex128)
+    covered = np.zeros((rows, hop), dtype=bool)
+    # weight and coverage rows: left half-block where a run begins, blend in
+    # from the previous center, blend out to the next, right half where it ends
+    m = np.arange(hop)
+    alpha = (delta + m) / hop
+    left, right, full = m >= hop - ic0, m < n - ic0, np.ones(hop, dtype=bool)
+    weights = np.array([left, alpha, 1.0 - alpha, right], dtype=np.float64)
+    covers = np.array([left, full, full, right])
+    s = math.isqrt(2 * hop)
+    coarse = np.arange(-hop // s, (hop - 1) // s + 1)
+    lo = -hop - s * coarse[0]  # column of offset -hop in the flattened table product
+    coarse_dt, fine_dt = (delta + s * coarse) / sample_rate_hz, np.arange(s) / sample_rate_hz
+    chunk = max(1, 2**19 // hop)  # entries per pass: ~2**20 samples of temporaries
 
     for track in tracks:
-        entries = track.entries
-        if not entries:
+        if not track.entries:
             raise ValueError("cannot synthesize an empty track")
-        for i, e in enumerate(entries):
-            start, c = e.block_index * hop, center_of(e)
-            ic = int(np.ceil(c))
-            if i == 0 or e.block_index - entries[i - 1].block_index > 1:
-                # Own tone on the left half-block where a run begins.
-                add(start, _tone_at(e, grid(start, ic), c, sample_rate_hz))
-            nxt = entries[i + 1] if i + 1 < len(entries) else None
-            if nxt is not None and nxt.block_index - e.block_index == 1:
-                cn = center_of(nxt)
-                idx = grid(ic, int(np.ceil(cn)))
-                alpha = (idx - c) / (cn - c)
-                add(ic, (1.0 - alpha) * _tone_at(e, idx, c, sample_rate_hz)
-                    + alpha * _tone_at(nxt, idx, cn, sample_rate_hz))
-            else:
-                # Own tone on the right half-block where a run ends.
-                add(ic, _tone_at(e, grid(ic, start + n), c, sample_rate_hz))
+        amp, freq, phase, blk = np.array(
+            [(e.amp, e.freq_hz, e.phase_rad, e.block_index) for e in track.entries]).T
+        blk = blk.astype(np.intp)
+        if blk[0] < 0:
+            raise ValueError(f"block_index must be non-negative, got {blk[0]}")
+        gap = np.diff(blk) > 1
+        kind_l, kind_r = np.where(np.r_[True, gap], 0, 1), np.where(np.r_[gap, True], 3, 2)
+        for i in range(0, blk.size, chunk):
+            sl = slice(i, i + chunk)
+            w = 2.0 * np.pi * freq[sl, None]
+            tables = (amp[sl] * np.exp(1j * phase[sl]))[:, None] * np.exp(1j * (w * coarse_dt))
+            tones = tables[:, :, None] * np.exp(1j * (w * fine_dt))[:, None, :]
+            tones = tones.reshape(len(tables), -1)[:, lo : lo + 2 * hop]
+            frames[blk[sl]] += weights[kind_l[sl]] * tones[:, :hop]
+            frames[blk[sl] + 1] += weights[kind_r[sl]] * tones[:, hop:]
+            covered[blk[sl]] |= covers[kind_l[sl]]
+            covered[blk[sl] + 1] |= covers[kind_r[sl]]
 
-    return SynthesizedWaveform(out, covered)
+    view = slice(hop - ic0, hop - ic0 + length)
+    return SynthesizedWaveform(frames.reshape(-1)[view], covered.reshape(-1)[view])
 
 
 def combine_waveforms(waveforms: list[SynthesizedWaveform], length: int) -> SynthesizedWaveform:

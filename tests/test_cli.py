@@ -28,6 +28,16 @@ def test_cancel_requires_at_least_one_pass(tmp_path, capsys):
     assert not resid.exists()
 
 
+def test_estimate_built_only_when_read():
+    t = np.arange(4096) / 2048000.0
+    stream = SampleStream(0.5 * np.exp(2j * np.pi * 82000.0 * t), 2048000.0, 0.25)
+    result = run_cancel(stream, StsaConfig(max_peel=1), passes=2)
+    assert "estimate" not in vars(result)
+    estimate = result.estimate
+    assert estimate.samples.tobytes() == (stream.samples - result.residual.samples).tobytes()
+    assert (estimate.sample_rate_hz, estimate.t0_s) == (2048000.0, 0.25)
+
+
 class TestGenerate:
     def test_nbfm_one_second_sample_count(self, tmp_path):
         out = tmp_path / "nbfm.iq"

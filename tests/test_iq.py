@@ -1,5 +1,7 @@
 """IQ codec and SampleStream tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,64 @@ def test_format_names():
     assert IqFormat("f32") is IqFormat.FLOAT32
     with pytest.raises(ValueError, match=r"unknown IQ format 's16' \(expected 'i8' or 'f32'\)"):
         IqFormat("s16")
+
+
+def _interleaved_encode(stream, fmt):
+    """The codec's earlier encoder, through a float64 interleaved copy."""
+    interleaved = np.empty(2 * len(stream), dtype=np.float64)
+    interleaved[0::2] = stream.samples.real
+    interleaved[1::2] = stream.samples.imag
+    if fmt is IqFormat.FLOAT32:
+        return interleaved.astype("<f4").tobytes()
+    n_clipped = int(np.count_nonzero(np.abs(interleaved) > 1.0))
+    if n_clipped:
+        warnings.warn(f"int8 write clipped {n_clipped} out-of-range components")
+    return np.clip(np.round(interleaved * 128.0), -128, 127).astype(np.int8).tobytes()
+
+
+def _interleaved_decode(data, fmt):
+    """The codec's earlier decoder, real + 1j*imag."""
+    if fmt is IqFormat.INT8:
+        raw = np.frombuffer(data, dtype=np.int8).astype(np.float64) / 128.0
+    else:
+        raw = np.frombuffer(data, dtype="<f4").astype(np.float64)
+    return raw[0::2] + 1j * raw[1::2]
+
+
+def _codec_inputs():
+    """Random components, every pairing of signed zeros, and values to clip."""
+    real, imag = np.random.default_rng(5).uniform(-1.5, 1.5, (2, 600))
+    real[:16], imag[:16] = (g.ravel() for g in np.meshgrid([-0.0, 0.0, -0.25, 0.25],
+                                                           [-0.0, 0.0, -0.75, 0.75]))
+    real[16:20], imag[16:20] = [1.0, -1.0, 127 / 128, -129 / 128], [-1.0, 1.0, 3.0, -1e-300]
+    samples = np.empty(real.size, dtype=np.complex128)
+    samples.real, samples.imag = real, imag
+    return samples
+
+
+@pytest.mark.parametrize("fmt", list(IqFormat))
+@pytest.mark.parametrize("step", [1, 3])
+def test_codec_matches_interleaved_copies(fmt, step):
+    samples = _codec_inputs()
+    stream = SampleStream(samples[::step], 1.0)
+    assert stream.samples.flags.c_contiguous == (step == 1)
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        got = encode_iq(stream, fmt)
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        want = _interleaved_encode(stream, fmt)
+    assert got == want
+    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+    assert bool(got_warnings) == (fmt is IqFormat.INT8)
+
+    data = np.ascontiguousarray(stream.samples).view(np.float64).astype("<f4").tobytes()
+    for blob in (got, data) if fmt is IqFormat.FLOAT32 else (got,):
+        decoded = decode_iq(blob, fmt, 1.0).samples
+        reference = _interleaved_decode(blob, fmt)
+        # every -0.0 now reads as +0.0; the earlier decoder kept a -0.0 real
+        # part whose imaginary part had its sign bit set
+        parts = decoded.view(np.float64)
+        assert not np.any(np.signbit(parts) & (parts == 0.0))
+        reference.real[reference.real == 0.0] = 0.0
+        assert decoded.tobytes() == reference.tobytes()

@@ -1,9 +1,13 @@
-"""The single-buffer synthesize against the per-track renderer it replaced.
+"""The frame-grid synthesize against the renderers it replaced.
 
-The oracle below is the earlier per-track synthesize: one full-length buffer
-and coverage mask per track, filled through lead, blend, gap and trail
-branches.  Summing its waveforms with combine_waveforms must give exactly the
-bits of one synthesize call over the whole track list, samples and coverage.
+Two oracles live here.  oracle_synthesize is the earlier per-track renderer:
+one full-length buffer and coverage mask per track, filled through lead,
+blend, gap and trail branches.  slice_synthesize is the single-buffer slice
+renderer that followed it, bit-identical to the per-track oracle summed with
+combine_waveforms.  The frame-grid synthesize computes each tone from two
+short phasor tables instead of one complex exponential per sample, so it
+matches slice_synthesize to rounding: coverage bit for bit, samples within
+4*N*2**-52 of the summed track amplitudes.
 """
 
 import numpy as np
@@ -16,13 +20,71 @@ from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm, mix
 from stsa.synthesis import (
     SynthesizedWaveform,
     Track,
-    _tone_at,
     assemble_tracks,
     combine_waveforms,
     synthesize,
 )
 
 RATE = 2048000.0
+
+
+def _tone_at(est: SinusoidEstimate, sample_indices: np.ndarray, center_index: float,
+             sample_rate_hz: float) -> np.ndarray:
+    dt = (sample_indices - center_index) / sample_rate_hz
+    return est.amp * np.exp(1j * (2.0 * np.pi * est.freq_hz * dt + est.phase_rad))
+
+
+def slice_synthesize(
+    tracks: list[Track],
+    stream_meta: tuple[int, float, float],
+    config: StsaConfig,
+) -> SynthesizedWaveform:
+    """Render every track, summed in list order, into one waveform on the stream's grid.
+
+    Between the centers of estimates in adjacent blocks the two sinusoids are
+    blended as (1-a)*x_i + a*x_j with a running 0 -> 1; the outer half-blocks
+    of a run of adjacent estimates use the nearest estimate unblended.
+    Detection gaps wider than one block step are left at zero (coverage
+    False) rather than bridged.
+    """
+    length, sample_rate_hz, _t0 = stream_meta
+    n = config.block_len_n
+    hop = config.hop
+    out = np.zeros(length, dtype=np.complex128)
+    covered = np.zeros(length, dtype=bool)
+
+    def center_of(e):
+        return e.block_index * hop + (n - 1) / 2.0
+
+    def grid(lo: int, hi: int) -> np.ndarray:
+        return np.arange(lo, min(hi, length), dtype=np.float64)
+
+    def add(lo: int, values: np.ndarray):
+        out[lo : lo + values.size] += values
+        covered[lo : lo + values.size] = True
+
+    for track in tracks:
+        entries = track.entries
+        if not entries:
+            raise ValueError("cannot synthesize an empty track")
+        for i, e in enumerate(entries):
+            start, c = e.block_index * hop, center_of(e)
+            ic = int(np.ceil(c))
+            if i == 0 or e.block_index - entries[i - 1].block_index > 1:
+                # Own tone on the left half-block where a run begins.
+                add(start, _tone_at(e, grid(start, ic), c, sample_rate_hz))
+            nxt = entries[i + 1] if i + 1 < len(entries) else None
+            if nxt is not None and nxt.block_index - e.block_index == 1:
+                cn = center_of(nxt)
+                idx = grid(ic, int(np.ceil(cn)))
+                alpha = (idx - c) / (cn - c)
+                add(ic, (1.0 - alpha) * _tone_at(e, idx, c, sample_rate_hz)
+                    + alpha * _tone_at(nxt, idx, cn, sample_rate_hz))
+            else:
+                # Own tone on the right half-block where a run ends.
+                add(ic, _tone_at(e, grid(ic, start + n), c, sample_rate_hz))
+
+    return SynthesizedWaveform(out, covered)
 
 
 def oracle_synthesize(
@@ -94,11 +156,25 @@ def oracle_synthesize(
 
 
 def assert_matches_oracle(tracks, meta, config):
-    got = synthesize(tracks, meta, config)
+    got = slice_synthesize(tracks, meta, config)
     # a generator keeps one per-track buffer alive at a time
     want = combine_waveforms((oracle_synthesize(t, meta, config) for t in tracks), meta[0])
     assert got.samples.tobytes() == want.samples.tobytes()
     assert got.coverage.tobytes() == want.coverage.tobytes()
+
+
+def assert_close_to_slices(tracks, meta, config):
+    """Coverage bit for bit; samples within 4*N*eps of the summed track peaks.
+
+    The phase argument 2*pi*f*dt of either renderer reaches pi*N radians, so
+    each rounds to about N*eps relative.
+    """
+    got = synthesize(tracks, meta, config)
+    want = slice_synthesize(tracks, meta, config)
+    assert got.coverage.tobytes() == want.coverage.tobytes()
+    scale = sum(max(e.amp for e in t.entries) for t in tracks)
+    bound = 4 * config.block_len_n * 2.0**-52 * scale
+    assert np.abs(got.samples - want.samples).max(initial=0.0) <= bound
 
 
 def stream_tracks(stream, config):
@@ -115,6 +191,7 @@ def test_acceptance_fm_scenario():
     tracks = stream_tracks(noisy, config)
     assert len(tracks) == 43
     assert_matches_oracle(tracks, (len(noisy), RATE, 0.0), config)
+    assert_close_to_slices(tracks, (len(noisy), RATE, 0.0), config)
 
 
 def test_three_station_mixture():
@@ -131,6 +208,7 @@ def test_three_station_mixture():
     tracks = stream_tracks(noisy, config)
     assert sum(1 for t in tracks if len(t) > len(noisy) // (2 * config.block_len_n)) == 3
     assert_matches_oracle(tracks, (len(noisy), RATE, 0.0), config)
+    assert_close_to_slices(tracks, (len(noisy), RATE, 0.0), config)
 
 
 @st.composite
@@ -161,6 +239,35 @@ def test_random_track_sets(scenario):
     assert_matches_oracle(*scenario)
 
 
+@st.composite
+def wide_scenarios(draw):
+    """Random tracks for the frame grid: N up to 8192, odd N, half overlap,
+    gaps, tracks overlapping in time, f across +-fs/2, phases as estimated,
+    and streams that end mid-block or before a block."""
+    n = draw(st.one_of(st.integers(8, 64), st.integers(65, 8192)))
+    overlap = draw(st.sampled_from(["none", "half"] if n % 2 == 0 else ["none"]))
+    config = StsaConfig(block_len_n=n, overlap=overlap)
+    n_blocks = draw(st.integers(1, 6))
+    length = draw(st.integers(0, (n_blocks - 1) * config.hop + n + 5))
+    tracks = []
+    for signal_id in range(draw(st.integers(0, 3))):
+        indices = sorted(draw(st.sets(st.integers(0, n_blocks - 1), min_size=1)))
+        entries = tuple(
+            SinusoidEstimate(draw(st.floats(1e-6, 1e3)), draw(st.floats(-RATE / 2, RATE / 2)),
+                             draw(st.floats(-np.pi, np.pi)), b,
+                             (b * config.hop + (n - 1) / 2) / RATE, 0)
+            for b in indices
+        )
+        tracks.append(Track(entries, signal_id))
+    return tracks, (length, RATE, 0.0), config
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(wide_scenarios())
+def test_frame_grid_matches_slice_renderer(scenario):
+    assert_close_to_slices(*scenario)
+
+
 def test_no_tracks_render_zeros():
     wave = synthesize([], (100, RATE, 0.0), StsaConfig())
     assert wave.samples.tobytes() == np.zeros(100, np.complex128).tobytes()
@@ -173,3 +280,10 @@ def test_empty_track_rejected_anywhere_in_list():
     for tracks in ([Track((), 0)], [full, Track((), 1)]):
         with pytest.raises(ValueError, match="empty track"):
             synthesize(tracks, (64, RATE, 0.0), config)
+
+
+def test_negative_block_index_rejected():
+    config = StsaConfig(block_len_n=8)
+    track = Track((SinusoidEstimate(1.0, 0.0, 0.0, -1, 0.0, 0),), 0)
+    with pytest.raises(ValueError, match="block_index must be non-negative"):
+        synthesize([track], (64, RATE, 0.0), config)
