@@ -22,6 +22,7 @@ from .metrics import (
     power_spectrum,
     suppression_report,
 )
+from .pipeline import CancelResult, run_cancel
 from .siggen import NbfmSpec, TruthRecord, add_awgn, gen_am, gen_nbfm, gen_tone, mix
 from .synthesis import (
     SynthesizedWaveform,
@@ -36,6 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockEstimates",
+    "CancelResult",
     "DynamicSpectrum",
     "IqFormat",
     "NbfmSpec",
@@ -61,6 +63,7 @@ __all__ = [
     "power_spectrum",
     "process_stream",
     "read_iq",
+    "run_cancel",
     "suppression_report",
     "synthesize",
     "write_iq",

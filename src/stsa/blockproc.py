@@ -188,13 +188,17 @@ def _normalize(rows: np.ndarray):
 
 
 def _detect_rows(windowed: np.ndarray, threshold_db: float):
-    """Coarse bin, peak power, median floor and hit flag of each windowed row."""
-    power = np.abs(np.fft.fft(windowed, axis=1)) ** 2 / windowed.shape[1] ** 2
+    """Coarse bin, peak power, median floor and hit flag of each windowed row.
+
+    Blocks are scaled into [0.5, 1), so a peak at or below (N*eps)**2 is rounding.
+    """
+    n = windowed.shape[1]
+    power = np.abs(np.fft.fft(windowed, axis=1)) ** 2 / n**2
     bins = np.argmax(power, axis=1)
     peak = power[np.arange(len(bins)), bins]
     floor = np.median(power, axis=1)
     ratio = np.divide(peak, floor, out=np.full_like(peak, np.inf), where=floor > 0.0)
-    return bins, peak, floor, (peak != 0.0) & (ratio >= 10.0 ** (threshold_db / 10.0))
+    return bins, peak, floor, (peak > (n * 2.0**-52) ** 2) & (ratio >= 10.0 ** (threshold_db / 10.0))
 
 
 def detect_peak(windowed_block: np.ndarray, threshold_db: float) -> Optional[PeakDetection]:
@@ -347,14 +351,3 @@ def process_stream(stream: SampleStream, config: StsaConfig) -> list[BlockEstima
         results += _estimate_blocks(rows, config, stream.sample_rate_hz, times, first)
     return results
 
-
-def write_estimates_csv(blocks: list[BlockEstimates], path) -> None:
-    """Flat per-estimate table: block_index, t_center_s, peel_rank, amp, freq_hz, phase_rad."""
-    with open(path, "w") as fh:
-        fh.write("block_index,t_center_s,peel_rank,amp,freq_hz,phase_rad\n")
-        for blk in blocks:
-            for e in blk.estimates:
-                fh.write(
-                    f"{e.block_index},{e.t_center_s:.9f},{e.peel_rank},"
-                    f"{e.amp:.9g},{e.freq_hz:.6f},{e.phase_rad:.9f}\n"
-                )

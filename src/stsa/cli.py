@@ -10,67 +10,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
-from . import blockproc, iq, metrics, siggen, synthesis
+from . import iq, metrics, pipeline, siggen, synthesis
 from .blockproc import StsaConfig
-from .iq import IqFormat, SampleStream
-from .synthesis import Track
+from .iq import IqFormat
 
 WINDOW_FLAGS = {"tri": "triangular", "hamming": "hamming", "rect": "rectangular"}
-
-
-@dataclass
-class CancelResult:
-    original: SampleStream
-    residual: SampleStream
-    tracks_per_pass: list = field(default_factory=list)
-    blocks_per_pass: list = field(default_factory=list)
-
-    @property
-    def estimate(self) -> SampleStream:
-        """What the passes removed, original - residual, built on each read."""
-        return SampleStream(self.original.samples - self.residual.samples,
-                            self.original.sample_rate_hz, self.original.t0_s)
-
-
-def run_cancel(
-    stream: SampleStream,
-    config: StsaConfig,
-    passes: int = 1,
-    strongest_only: bool = False,
-    jump_limit_bins: float = synthesis.DEFAULT_JUMP_LIMIT_BINS,
-    inter_pass_format: IqFormat | None = None,
-) -> CancelResult:
-    """Estimate-and-subtract the stream, optionally iterating on the residual.
-
-    When inter_pass_format is set, the residual is round-tripped through that
-    codec between passes, so an n-pass run is byte-identical to n chained
-    single-pass runs over files of that format.
-    """
-    if passes < 1:
-        raise ValueError(f"passes must be at least 1, got {passes}")
-    work = stream
-    result = CancelResult(stream, stream)
-    for p in range(passes):
-        blocks = blockproc.process_stream(work, config)
-        tracks = synthesis.assemble_tracks(blocks, config, work.sample_rate_hz, jump_limit_bins)
-        if strongest_only and tracks:
-            tracks = [max(tracks, key=Track.total_energy)]
-        meta = (len(work), work.sample_rate_hz, work.t0_s)
-        residual = synthesis.cancel(work, synthesis.synthesize(tracks, meta, config))
-        if inter_pass_format is not None and p < passes - 1:
-            residual = iq.decode_iq(
-                iq.encode_iq(residual, inter_pass_format),
-                inter_pass_format,
-                residual.sample_rate_hz,
-                residual.t0_s,
-            )
-        result.blocks_per_pass.append(blocks)
-        result.tracks_per_pass.append(tracks)
-        work = residual
-    result.residual = work
-    return result
 
 
 def _add_shared_estimator_flags(p: argparse.ArgumentParser):
@@ -250,7 +195,7 @@ def cmd_cancel(args) -> int:
     )
     fmt = IqFormat(args.format)
     stream = iq.read_iq(args.input, fmt, args.rate)
-    result = run_cancel(
+    result = pipeline.run_cancel(
         stream,
         config,
         passes=args.passes,
@@ -262,13 +207,8 @@ def cmd_cancel(args) -> int:
     if args.out_estimate:
         iq.write_iq(result.estimate, args.out_estimate, fmt)
     if args.out_tracks:
-        all_tracks = []
-        offset = 0
-        for pass_tracks in result.tracks_per_pass:
-            for trk in pass_tracks:
-                all_tracks.append(Track(trk.entries, trk.signal_id + offset))
-            offset += len(pass_tracks)
-        synthesis.write_tracks_csv(all_tracks, args.out_tracks)
+        synthesis.write_tracks_csv(
+            [trk for tracks in result.tracks_per_pass for trk in tracks], args.out_tracks)
     if args.band:
         report = metrics.suppression_report(stream, result.residual, tuple(args.band))
         print(metrics.format_report(report))

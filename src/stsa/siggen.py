@@ -280,14 +280,7 @@ def add_awgn(
 
 def write_truth_csv(truth: TruthRecord, path) -> None:
     """Sidecar truth table: sample_index, f_inst_hz, amplitude."""
-    table = np.column_stack(
-        [np.arange(truth.f_inst_hz.size), truth.f_inst_hz, truth.amplitude]
-    )
-    np.savetxt(
-        path,
-        table,
-        fmt=("%d", "%.6f", "%.9g"),
-        delimiter=",",
-        header="sample_index,f_inst_hz,amplitude",
-        comments="",
-    )
+    f, a = truth.f_inst_hz.tolist(), truth.amplitude.tolist()
+    with open(path, "w") as fh:
+        fh.write("sample_index,f_inst_hz,amplitude\n")
+        fh.writelines(map("%d,%.6f,%.9g\n".__mod__, zip(range(len(f)), f, a)))

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from stsa import run_cancel
 from stsa.blockproc import (
     StsaConfig,
     apply_window,
@@ -18,7 +19,6 @@ from stsa.blockproc import (
     process_stream,
     subtract_sinusoid,
 )
-from stsa.cli import run_cancel
 from stsa.iq import IqFormat, SampleStream, decode_iq, encode_iq
 from stsa.metrics import (
     band_power,

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from stsa import run_cancel
 from stsa.blockproc import StsaConfig
-from stsa.cli import main, run_cancel
+from stsa.cli import main
 from stsa.iq import IqFormat, SampleStream, read_iq, write_iq
 
 RATE = "2048000"
@@ -36,6 +37,42 @@ def test_estimate_built_only_when_read():
     estimate = result.estimate
     assert estimate.samples.tobytes() == (stream.samples - result.residual.samples).tobytes()
     assert (estimate.sample_rate_hz, estimate.t0_s) == (2048000.0, 0.25)
+
+
+def weak_then_strong_stream() -> SampleStream:
+    """64 blocks of 256: a 0.1 tone at +100 kHz throughout, a 1.0 tone at
+    -300 kHz from sample 2048 (block 8), and 1e-3 white noise."""
+    rate = 2048000.0
+    t = np.arange(64 * 256) / rate
+    x = 0.1 * np.exp(2j * np.pi * 100e3 * t)
+    x[2048:] += np.exp(-2j * np.pi * 300e3 * t[2048:])
+    rng = np.random.default_rng(0)
+    x += 1e-3 * (rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size))
+    return SampleStream(x, rate)
+
+
+@pytest.mark.parametrize("max_peel,strongest_only", [(1, False), (2, True)])
+def test_run_cancel_numbers_tracks_across_passes(max_peel, strongest_only):
+    config = StsaConfig(max_peel=max_peel, detect_threshold_db=20.0)
+    result = run_cancel(weak_then_strong_stream(), config, passes=2,
+                        strongest_only=strongest_only)
+    assert all(result.tracks_per_pass)
+    ids = [trk.signal_id for tracks in result.tracks_per_pass for trk in tracks]
+    assert ids == list(range(len(ids)))
+
+
+def test_strongest_only_passes_write_distinct_ids(tmp_path):
+    src = tmp_path / "in.iq"
+    out = tmp_path / "tracks.csv"
+    write_iq(weak_then_strong_stream(), src, IqFormat.FLOAT32)
+    assert run(["cancel", "--in", str(src), "--rate", RATE, "--max-peel", "2",
+                "--threshold-db", "20", "--strongest-only", "--passes", "2",
+                "--out-residual", str(tmp_path / "resid.iq"), "--out-tracks", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    ids, blocks, freqs = rows[:, 0].astype(int), rows[:, 1].astype(int), rows[:, 5]
+    assert set(ids) == {0, 1}
+    assert [set(np.round(freqs[ids == i], -5)) for i in (0, 1)] == [{-300e3}, {100e3}]
+    assert len(set(zip(ids, blocks))) == len(rows)
 
 
 class TestGenerate:

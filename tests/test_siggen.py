@@ -17,6 +17,7 @@ from stsa.siggen import (
     gen_tone,
     mix,
     waveform_from_truth,
+    write_truth_csv,
 )
 
 RATE = 2048000.0
@@ -270,3 +271,24 @@ def test_truth_self_consistency(maker):
 def test_waveform_from_truth_empty():
     truth = TruthRecord(np.zeros(0), np.zeros(0), 0.0, RATE)
     assert waveform_from_truth(truth).size == 0
+
+
+def savetxt_truth_csv(truth: TruthRecord, path):
+    """The earlier np.savetxt writer, kept as the byte-level oracle."""
+    table = np.column_stack(
+        [np.arange(truth.f_inst_hz.size), truth.f_inst_hz, truth.amplitude]
+    )
+    np.savetxt(path, table, fmt=("%d", "%.6f", "%.9g"), delimiter=",",
+               header="sample_index,f_inst_hz,amplitude", comments="")
+
+
+@pytest.mark.parametrize("f_inst_hz,amplitude", [
+    ([-123456.7890123, 0.0, -0.0, 1e-7, -4e-7, 999999.9999996, 5e5],
+     [1.0, 1e-12, 1.23456789e11, 0.0, 0.5, 3.14159265358979, 2.5e-320]),
+    ([], []),
+])
+def test_truth_csv_matches_savetxt(tmp_path, f_inst_hz, amplitude):
+    truth = TruthRecord(np.array(f_inst_hz, float), np.array(amplitude, float), 0.0, RATE)
+    write_truth_csv(truth, tmp_path / "fast.csv")
+    savetxt_truth_csv(truth, tmp_path / "oracle.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -233,7 +233,7 @@ def scenarios(draw):
     return tracks, (length, RATE, 0.0), config
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(scenarios())
 def test_random_track_sets(scenario):
     assert_matches_oracle(*scenario)
@@ -262,10 +262,17 @@ def wide_scenarios(draw):
     return tracks, (length, RATE, 0.0), config
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(wide_scenarios())
 def test_frame_grid_matches_slice_renderer(scenario):
     assert_close_to_slices(*scenario)
+
+
+def test_properties_run_under_the_deterministic_profile():
+    for test in (test_random_track_sets, test_frame_grid_matches_slice_renderer):
+        applied = test._hypothesis_internal_use_settings
+        assert (applied.derandomize, applied.database, applied.deadline) == (True, None, None)
+    assert test_random_track_sets._hypothesis_internal_use_settings.max_examples == 300
 
 
 def test_no_tracks_render_zeros():
