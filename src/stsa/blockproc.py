@@ -113,7 +113,7 @@ class SinusoidEstimate:
 
 @dataclass(frozen=True)
 class BlockEstimates:
-    """All sinusoids peeled from one block, in extraction order."""
+    """All sinusoids peeled from one block, in extraction order; powers past float64 read inf."""
 
     block_index: int
     estimates: tuple
@@ -196,7 +196,8 @@ def _detect_rows(windowed: np.ndarray, threshold_db: float):
     power = np.abs(np.fft.fft(windowed, axis=1)) ** 2 / n**2
     bins = np.argmax(power, axis=1)
     peak = power[np.arange(len(bins)), bins]
-    floor = np.median(power, axis=1)
+    power.partition(n // 2, axis=1)  # np.median's order statistics from one partition
+    floor = power[:, n // 2] if n % 2 else (power[:, : n // 2].max(axis=1) + power[:, n // 2]) / 2
     ratio = np.divide(peak, floor, out=np.full_like(peak, np.inf), where=floor > 0.0)
     return bins, peak, floor, (peak > (n * 2.0**-52) ** 2) & (ratio >= 10.0 ** (threshold_db / 10.0))
 
@@ -204,14 +205,15 @@ def _detect_rows(windowed: np.ndarray, threshold_db: float):
 def detect_peak(windowed_block: np.ndarray, threshold_db: float) -> Optional[PeakDetection]:
     """Strongest FFT bin, if it clears the SNR threshold over the median floor.
 
-    Returns None when nothing is detected; an all-zero block never detects.
-    Scaling by a power of two before squaring keeps any amplitude detectable.
+    Returns None when nothing is detected, as for an all-zero block.  Scaling
+    by a power of two keeps any amplitude detectable; powers past float64 read inf.
     """
     rows, exps = _normalize(windowed_block)
     bins, peak, floor, hit = _detect_rows(rows, threshold_db)
     if not hit[0]:
         return None
-    return PeakDetection(int(bins[0]), *np.ldexp([peak[0], floor[0]], 2 * exps[0]).tolist())
+    with np.errstate(over="ignore"):  # powers beyond the float64 range read inf
+        return PeakDetection(int(bins[0]), *np.ldexp([peak[0], floor[0]], 2 * exps[0]).tolist())
 
 
 def refine_frequency(
@@ -261,7 +263,8 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
     """Peel loop over a (B, N) batch: each round handles every still-detecting block.
 
     The winning fine-grid correlation gives amplitude, phase and the tone to
-    subtract; a block that stops keeps the floor of its failed detection.
+    subtract.  Still-detecting rows stay compacted in `work`; a block that stops
+    leaves with its residual power and the floor of its last detection.
     """
     n = config.block_len_n
     w = window_values(config.window, n)
@@ -269,18 +272,19 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
     offsets_hz, bank = _correlation_bank(
         n, sample_rate_hz, config.fine_grid_fraction, config.fine_search_span_bins
     )
-    residual, exps = _normalize(blocks)  # outputs are scaled back by 2**exps
-    floors = np.zeros(len(residual))
-    active = np.arange(len(residual))
-    rounds = []
-    for _ in range(config.max_peel):
-        windowed = residual[active] * w
+    work, exps = _normalize(blocks)  # outputs are scaled back by 2**exps
+    out = np.zeros((2, len(work)))  # residual power and floor of each block
+    active = np.arange(len(work))
+    per_block = [[] for _ in active]
+    for rank in range(config.max_peel + 1):
+        windowed = work * w
         bins, _, floor, hit = _detect_rows(windowed, config.detect_threshold_db)
-        floors[active[~hit]] = floor[~hit]
-        active, windowed = active[hit], windowed[hit]
+        hit &= rank < config.max_peel
+        out[:, active[~hit]] = np.mean(np.abs(work[~hit]) ** 2, axis=1), floor[~hit]
+        active, work, windowed, bins = active[hit], work[hit], windowed[hit], bins[hit]
         if not active.size:
             break
-        coarse = bins[hit] * sample_rate_hz / n  # FFT bin center in baseband Hz
+        coarse = bins * sample_rate_hz / n  # FFT bin center in baseband Hz
         coarse[coarse >= sample_rate_hz / 2] -= sample_rate_hz
         # the mixer depends only on the coarse bin: one row per distinct bin
         bin_hz, row_of = np.unique(coarse, return_inverse=True)
@@ -295,18 +299,14 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
         fold = np.abs(freq) >= sample_rate_hz / 2
         freq[fold] -= np.sign(freq[fold]) * sample_rate_hz
         phase[fold] = wrap_phase(phase[fold] + np.pi * ((n - 1) % 2))
-        residual[active] -= (c / w_mean)[:, None] * np.conj(mixer * bank[best])
+        work -= (c / w_mean)[:, None] * np.conj(mixer * bank[best])
         amp = np.ldexp(np.abs(c) / w_mean, exps[active])
-        rounds.append([v.tolist() for v in (active, amp, freq, phase)])
-    if active.size:  # these reached max_peel: floor of the final residual
-        floors[active] = _detect_rows(residual[active] * w, config.detect_threshold_db)[2]
-    powers = np.mean(np.abs(residual) ** 2, axis=1)
-    per_block = [[] for _ in range(len(residual))]
-    for rank, columns in enumerate(rounds):
-        for row, a, f, p in zip(*columns):
+        for row, a, f, p in zip(*(v.tolist() for v in (active, amp, freq, phase))):
             per_block[row].append(SinusoidEstimate(a, f, p, first_index + row, t_centers[row], rank))
-    return [BlockEstimates(first_index + row, tuple(ests), power, floor) for row, (ests, power, floor)
-            in enumerate(zip(per_block, *np.ldexp([powers, floors], 2 * exps).tolist()))]
+    with np.errstate(over="ignore"):  # powers beyond the float64 range read inf
+        scaled = zip(per_block, *np.ldexp(out, 2 * exps).tolist())
+    return [BlockEstimates(first_index + row, tuple(ests), power, floor)
+            for row, (ests, power, floor) in enumerate(scaled)]
 
 
 def estimate_block(
@@ -332,9 +332,8 @@ def block_center_time(stream: SampleStream, config: StsaConfig, block_index: int
     return stream.t0_s + (start + (config.block_len_n - 1) / 2.0) / stream.sample_rate_hz
 
 
-# Samples per batch of blocks: enough blocks to amortize each round's
-# overhead, few enough to bound the round's temporaries.
-_BATCH_SAMPLES = 2**20
+# Samples per batch: blocks enough to amortize a round, few enough that its temporaries stay in cache.
+_BATCH_SAMPLES = 2**18
 
 
 def process_stream(stream: SampleStream, config: StsaConfig) -> list[BlockEstimates]:

@@ -1,4 +1,4 @@
-"""The batched peel in process_stream against the per-block peel loop it replaced.
+"""The batched peel in process_stream against the peel loops it replaced.
 
 The oracle below is the earlier per-block estimate_block, one Python loop per
 block built from the public single-block helpers.  The batched estimator must
@@ -6,16 +6,30 @@ give the same peel count for every block.  A frequency may move by one fine
 step where the fine-grid correlation has a near-tie (the matrix product sums
 in another order), in at most 0.1 % of estimates; everything else agrees to
 1e-9.
+
+The reference kernel below is the earlier batched peel, which gathered the
+active rows out of the whole batch every round, scattered the subtraction back
+and took the floor with np.median.  At the same batch size process_stream must
+equal it exactly.
 """
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stsa import blockproc
 from stsa.blockproc import (
     BlockEstimates,
     SinusoidEstimate,
     StsaConfig,
+    _centered_times,
+    _correlation_bank,
+    _detect_rows,
+    _normalize,
+    _window_mean,
     apply_window,
     block_center_time,
     detect_peak,
@@ -23,10 +37,11 @@ from stsa.blockproc import (
     process_stream,
     refine_frequency,
     subtract_sinusoid,
+    window_values,
     wrap_phase,
 )
 from stsa.iq import SampleStream
-from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm, gen_tone, mix
+from stsa.siggen import NbfmSpec, add_awgn, gen_am, gen_nbfm, gen_tone, mix
 
 RATE = 2048000.0
 N = 256
@@ -99,6 +114,80 @@ def oracle_process_stream(stream: SampleStream, config: StsaConfig) -> list[Bloc
     ]
 
 
+def reference_detect_rows(windowed: np.ndarray, threshold_db: float):
+    """Coarse bin, peak power, median floor and hit flag of each windowed row."""
+    n = windowed.shape[1]
+    power = np.abs(np.fft.fft(windowed, axis=1)) ** 2 / n**2
+    bins = np.argmax(power, axis=1)
+    peak = power[np.arange(len(bins)), bins]
+    floor = np.median(power, axis=1)
+    ratio = np.divide(peak, floor, out=np.full_like(peak, np.inf), where=floor > 0.0)
+    return bins, peak, floor, (peak > (n * 2.0**-52) ** 2) & (ratio >= 10.0 ** (threshold_db / 10.0))
+
+
+def reference_estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
+    """Peel loop over a (B, N) batch: each round handles every still-detecting block.
+
+    The winning fine-grid correlation gives amplitude, phase and the tone to
+    subtract; a block that stops keeps the floor of its failed detection.
+    """
+    n = config.block_len_n
+    w = window_values(config.window, n)
+    w_mean = _window_mean(config.window, n)
+    offsets_hz, bank = _correlation_bank(
+        n, sample_rate_hz, config.fine_grid_fraction, config.fine_search_span_bins
+    )
+    residual, exps = _normalize(blocks)  # outputs are scaled back by 2**exps
+    floors = np.zeros(len(residual))
+    active = np.arange(len(residual))
+    rounds = []
+    for _ in range(config.max_peel):
+        windowed = residual[active] * w
+        bins, _, floor, hit = reference_detect_rows(windowed, config.detect_threshold_db)
+        floors[active[~hit]] = floor[~hit]
+        active, windowed = active[hit], windowed[hit]
+        if not active.size:
+            break
+        coarse = bins[hit] * sample_rate_hz / n  # FFT bin center in baseband Hz
+        coarse[coarse >= sample_rate_hz / 2] -= sample_rate_hz
+        # the mixer depends only on the coarse bin: one row per distinct bin
+        bin_hz, row_of = np.unique(coarse, return_inverse=True)
+        mixer = np.exp(-2j * np.pi * bin_hz[:, None] * _centered_times(n, sample_rate_hz))[row_of]
+        corr = (windowed * mixer) @ bank.T
+        best = np.argmax(np.abs(corr), axis=1)
+        c = corr[np.arange(active.size), best] / n
+        freq = coarse + offsets_hz[best]
+        phase = wrap_phase(np.angle(c))
+        # fold the search overshoot at the Nyquist edge back into the principal
+        # span; with center-referenced times that rotates the phase by pi*(N-1)
+        fold = np.abs(freq) >= sample_rate_hz / 2
+        freq[fold] -= np.sign(freq[fold]) * sample_rate_hz
+        phase[fold] = wrap_phase(phase[fold] + np.pi * ((n - 1) % 2))
+        residual[active] -= (c / w_mean)[:, None] * np.conj(mixer * bank[best])
+        amp = np.ldexp(np.abs(c) / w_mean, exps[active])
+        rounds.append([v.tolist() for v in (active, amp, freq, phase)])
+    if active.size:  # these reached max_peel: floor of the final residual
+        floors[active] = reference_detect_rows(residual[active] * w, config.detect_threshold_db)[2]
+    powers = np.mean(np.abs(residual) ** 2, axis=1)
+    per_block = [[] for _ in range(len(residual))]
+    for rank, columns in enumerate(rounds):
+        for row, a, f, p in zip(*columns):
+            per_block[row].append(SinusoidEstimate(a, f, p, first_index + row, t_centers[row], rank))
+    return [BlockEstimates(first_index + row, tuple(ests), power, floor) for row, (ests, power, floor)
+            in enumerate(zip(per_block, *np.ldexp([powers, floors], 2 * exps).tolist()))]
+
+
+def assert_equals_reference(stream, config):
+    """process_stream must reproduce the reference kernel exactly: no tolerance.
+
+    Both run through process_stream's batching at the current _BATCH_SAMPLES.
+    """
+    got = process_stream(stream, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blockproc, "_estimate_blocks", reference_estimate_blocks)
+        assert got == process_stream(stream, config)
+
+
 def assert_matches_oracle(stream, config):
     """Compare process_stream with the oracle; returns (estimates, frequency flips)."""
     got = process_stream(stream, config)
@@ -147,6 +236,7 @@ def test_acceptance_fm_scenario():
     assert (len(stream) // N) % (blockproc._BATCH_SAMPLES // N) != 0
     total, _ = assert_matches_oracle(stream, config)
     assert total == 15478
+    assert_equals_reference(stream, config)
 
 
 def test_three_station_mixture():
@@ -160,6 +250,7 @@ def test_three_station_mixture():
     snr_arg = 34.0 + 10 * np.log10(mixed.power() / streams[0].power())
     noisy = add_awgn(mixed, snr_arg, (-30000.0, -20000.0), 44)
     assert_matches_oracle(noisy, StsaConfig(detect_threshold_db=12.0))
+    assert_equals_reference(noisy, StsaConfig(detect_threshold_db=12.0))
 
 
 def test_stationary_tone():
@@ -183,6 +274,7 @@ def test_dropped_tail_samples():
 def test_half_overlap():
     config = StsaConfig(detect_threshold_db=9.0, max_peel=3, overlap="half")
     assert_matches_oracle(fm_stream(0.05), config)
+    assert_equals_reference(fm_stream(0.05), config)
 
 
 def test_many_batches_with_partial_last(monkeypatch):
@@ -190,6 +282,7 @@ def test_many_batches_with_partial_last(monkeypatch):
     stream = fm_stream(0.01)
     assert (len(stream) // N) % 7 != 0
     assert_matches_oracle(stream, StsaConfig(detect_threshold_db=9.0, max_peel=3))
+    assert_equals_reference(stream, StsaConfig(detect_threshold_db=9.0, max_peel=3))
 
 
 def test_all_zero_blocks():
@@ -201,6 +294,7 @@ def test_all_zero_blocks():
     for b in blocks[5:12] + blocks[-1:]:
         assert (b.estimates, b.noise_floor, b.residual_power) == ((), 0.0, 0.0)
     assert_matches_oracle(stream, StsaConfig())
+    assert_equals_reference(stream, StsaConfig())
 
 
 def test_blocks_reaching_max_peel():
@@ -209,3 +303,79 @@ def test_blocks_reaching_max_peel():
     config = StsaConfig(max_peel=2)
     assert all(len(b.estimates) == 2 for b in process_stream(stream, config))
     assert_matches_oracle(stream, config)
+    assert_equals_reference(stream, config)
+
+
+def test_odd_block_length():
+    # odd N takes the one-order-statistic branch of the median floor
+    config = StsaConfig(block_len_n=255, detect_threshold_db=9.0, max_peel=3)
+    stream = noisy_tones([(1.0, -200000.0, 0.1), (0.3, 30000.0, 2.0)], 40 * 255 + 9, 10)
+    total, _ = assert_matches_oracle(stream, config)
+    assert total >= 80
+    assert_equals_reference(stream, config)
+    assert_equals_reference(fm_stream(0.05), config)
+
+
+# Power-of-two scales: 2**-520 and below give subnormal and zero bin powers.
+_ROW_SCALES = st.sampled_from([1.0, 2.0**-510, 2.0**-520, 2.0**-530, 2.0**-1070])
+_ROW_VALUES = st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5]) | st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=200)
+@given(n=st.sampled_from([8, 9, 16, 17, 32, 33]), rows=st.integers(1, 3), data=st.data())
+def test_partition_floor_is_the_median(n, rows, data):
+    """The one-partition floor equals np.median of the same powers, bit for bit."""
+    values = data.draw(st.lists(_ROW_VALUES, min_size=2 * n * rows, max_size=2 * n * rows))
+    windowed = data.draw(_ROW_SCALES) * np.array(values).view(np.complex128).reshape(rows, n)
+    if data.draw(st.booleans()):
+        windowed = windowed.real + 0j  # a mirrored spectrum: every power repeats
+    power = np.abs(np.fft.fft(windowed, axis=1)) ** 2 / n**2
+    floor = _detect_rows(windowed, 10.0)[2]
+    assert floor.tobytes() == np.median(power, axis=1).tobytes()
+
+
+def am_stream(duration_s):
+    clean, _ = gen_am(10000.0, 1.0, 0.5, 50.0, int(round(duration_s * RATE)), RATE)
+    return add_awgn(clean, 40.0, (9000.0, 11000.0), 5)
+
+
+# Relative bound on how far amplitudes, floors and residual powers move with the
+# batch size; phases are bounded by the same multiple of eps * pi, absolutely.
+BATCH_REL_BOUND = 4 * 2.0**-52
+
+
+BATCH_CASES = {
+    "fm": (lambda: fm_stream(0.1), StsaConfig(detect_threshold_db=9.0, max_peel=3)),
+    "am_n2048": (lambda: am_stream(0.5), StsaConfig(block_len_n=2048, window="hamming",
+                                                    detect_threshold_db=12.0, max_peel=2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batch_size_moves_values_by_at_most_ulps(monkeypatch, case):
+    """Batches of 2**14, 2**18 and 2**20 samples give the same peels and frequencies.
+
+    The other values may differ at ulp level, because the row count of a round
+    changes how numpy evaluates it: a one-row correlation takes the matrix-vector
+    path, and from 256 KiB on numpy reuses a temporary operand as the output of
+    the complex products in the subtraction, swapping their operand order.
+    """
+    make_stream, config = BATCH_CASES[case]
+    stream = make_stream()
+    runs = []
+    for batch in (2**14, 2**18, 2**20):
+        monkeypatch.setattr(blockproc, "_BATCH_SAMPLES", batch)
+        runs.append(process_stream(stream, config))
+    assert sum(len(b.estimates) for b in runs[0]) > len(runs[0])  # some blocks peel twice
+
+    def close(a, b):
+        return abs(a - b) <= BATCH_REL_BOUND * max(abs(a), abs(b))
+
+    for one, other in itertools.combinations(runs, 2):
+        for a, b in zip(one, other, strict=True):
+            assert a.block_index == b.block_index and len(a.estimates) == len(b.estimates)
+            assert close(a.noise_floor, b.noise_floor) and close(a.residual_power, b.residual_power)
+            for x, y in zip(a.estimates, b.estimates):
+                assert (x.freq_hz, x.peel_rank, x.t_center_s) == (y.freq_hz, y.peel_rank, y.t_center_s)
+                assert close(x.amp, y.amp)
+                assert abs(wrap_phase(x.phase_rad - y.phase_rad)) <= BATCH_REL_BOUND * np.pi

@@ -17,6 +17,7 @@ from stsa.blockproc import (
     window_values,
     wrap_phase,
 )
+from stsa.iq import SampleStream
 from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm, gen_tone
 
 RATE = 2048000.0
@@ -104,9 +105,8 @@ class TestDetectPeak:
 
     @pytest.mark.parametrize("amp", [1e-300, 1e300])
     def test_extreme_amplitude_dc_detected(self, amp):
-        # the reported powers (~amp**2) saturate to 0 or inf
-        with np.errstate(over="ignore"):
-            det = detect_peak(np.full(N, amp, complex), 10.0)
+        # the reported powers (~amp**2) saturate to 0 or inf, without a warning
+        det = detect_peak(np.full(N, amp, complex), 10.0)
         assert det is not None and det.coarse_bin == 0
 
     def test_all_zeros_no_detection(self):
@@ -330,6 +330,25 @@ class TestEstimateBlock:
         assert len(blocks) == 3  # tail 232 samples dropped
         cfg_half = StsaConfig(overlap="half")
         assert len(process_stream(stream, cfg_half)) == 6
+
+    def test_powers_beyond_float64_read_inf_without_warning(self):
+        rng = np.random.default_rng(12)
+        noise = rng.standard_normal(8 * N) + 1j * rng.standard_normal(8 * N)
+        cfg = StsaConfig(detect_threshold_db=20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = process_stream(SampleStream(1e200 * noise, RATE), cfg)
+            det = detect_peak(np.full(N, 1e200, complex), 10.0)
+            unit = process_stream(SampleStream(noise, RATE), cfg)
+        assert [(b.residual_power, b.noise_floor) for b in huge] == [(np.inf, np.inf)] * 8
+        assert det.coarse_bin == 0 and det.peak_power == np.inf and det.noise_floor == 0.0
+        # in the float64 range the powers are the plain formulas, exactly
+        assert detect_peak(np.full(N, 3.0, complex), 10.0).peak_power == 9.0
+        for b, block in zip(unit, noise.reshape(8, N)):
+            assert b.estimates == ()
+            assert b.residual_power == np.mean(np.abs(block) ** 2)
+            power = np.abs(np.fft.fft(apply_window(block, "triangular"))) ** 2 / N**2
+            assert b.noise_floor == np.median(power)
 
 
 class TestInvariants:
