@@ -7,6 +7,7 @@ from the original stream.
 
 from .blockproc import (
     BlockEstimates,
+    Estimates,
     SinusoidEstimate,
     StsaConfig,
     estimate_block,
@@ -39,6 +40,7 @@ __all__ = [
     "BlockEstimates",
     "CancelResult",
     "DynamicSpectrum",
+    "Estimates",
     "IqFormat",
     "NbfmSpec",
     "SampleStream",

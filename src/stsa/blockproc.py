@@ -13,11 +13,13 @@ independent, so an iterative peel loop processes a whole batch of them at once:
   5. subtract the estimated sinusoid from the unwindowed residual and repeat.
 
 Times t_k are referenced to the block center, so each estimate's phase is the
-carrier phase at the center of its block.
+carrier phase at the center of its block.  process_stream returns every
+estimate of a stream as one columnar Estimates table.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,8 +66,10 @@ class StsaConfig:
             raise ValueError(f"window must be one of {WINDOW_NAMES}")
         if not 0 < self.fine_grid_fraction <= 1:
             raise ValueError("fine_grid_fraction must lie in (0, 1]")
-        if self.fine_search_span_bins <= 0:
-            raise ValueError("fine_search_span_bins must be positive")
+        if not math.isfinite(self.detect_threshold_db):
+            raise ValueError("detect_threshold_db must be finite")
+        if not 0 < self.fine_search_span_bins < math.inf:
+            raise ValueError("fine_search_span_bins must be positive and finite")
         if self.max_peel < 1:
             raise ValueError("max_peel must be at least 1")
         if self.overlap not in OVERLAP_MODES:
@@ -119,6 +123,38 @@ class BlockEstimates:
     estimates: tuple
     residual_power: float
     noise_floor: float
+
+
+@dataclass(frozen=True, eq=False)
+class Estimates:
+    """Every sinusoid peeled from a run of blocks, as one table of columns.
+
+    block_index, peel_rank, amp, freq_hz, phase_rad and t_center_s hold one
+    value per estimate, ordered by block and then by peel order.
+    residual_power and noise_floor hold one value per block, block i at i.
+    len() is the block count; table[i] builds block i's BlockEstimates on
+    request, so compare tables as list(a) == list(b).
+    """
+
+    block_index: np.ndarray
+    peel_rank: np.ndarray
+    amp: np.ndarray
+    freq_hz: np.ndarray
+    phase_rad: np.ndarray
+    t_center_s: np.ndarray
+    residual_power: np.ndarray
+    noise_floor: np.ndarray
+
+    def __len__(self) -> int:
+        return self.residual_power.size
+
+    def __getitem__(self, i) -> BlockEstimates:
+        i = range(len(self))[i]
+        rows = slice(*np.searchsorted(self.block_index, [i, i + 1]).tolist())
+        columns = (self.amp, self.freq_hz, self.phase_rad, self.block_index, self.t_center_s,
+                   self.peel_rank)
+        estimates = tuple(SinusoidEstimate(*e) for e in zip(*(c[rows].tolist() for c in columns)))
+        return BlockEstimates(i, estimates, self.residual_power[i].item(), self.noise_floor[i].item())
 
 
 class PeakDetection(NamedTuple):
@@ -265,6 +301,8 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
     The winning fine-grid correlation gives amplitude, phase and the tone to
     subtract.  Still-detecting rows stay compacted in `work`; a block that stops
     leaves with its residual power and the floor of its last detection.
+    Returns the batch's table, its blocks numbered from first_index and centered
+    at t_centers.
     """
     n = config.block_len_n
     w = window_values(config.window, n)
@@ -275,7 +313,7 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
     work, exps = _normalize(blocks)  # outputs are scaled back by 2**exps
     out = np.zeros((2, len(work)))  # residual power and floor of each block
     active = np.arange(len(work))
-    per_block = [[] for _ in active]
+    rounds = [(active[:0], active[:0], *np.zeros((3, 0)))]  # row, rank, amp, freq, phase
     for rank in range(config.max_peel + 1):
         windowed = work * w
         bins, _, floor, hit = _detect_rows(windowed, config.detect_threshold_db)
@@ -301,19 +339,18 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
         phase[fold] = wrap_phase(phase[fold] + np.pi * ((n - 1) % 2))
         work -= (c / w_mean)[:, None] * np.conj(mixer * bank[best])
         amp = np.ldexp(np.abs(c) / w_mean, exps[active])
-        for row, a, f, p in zip(*(v.tolist() for v in (active, amp, freq, phase))):
-            per_block[row].append(SinusoidEstimate(a, f, p, first_index + row, t_centers[row], rank))
+        rounds.append((active, np.full(active.size, rank), amp, freq, phase))
+    row, rank, amp, freq, phase = (np.concatenate(c) for c in zip(*rounds))
+    order = np.argsort(row, kind="stable")  # rounds run in rank order
+    row = row[order]
     with np.errstate(over="ignore"):  # powers beyond the float64 range read inf
-        scaled = zip(per_block, *np.ldexp(out, 2 * exps).tolist())
-    return [BlockEstimates(first_index + row, tuple(ests), power, floor)
-            for row, (ests, power, floor) in enumerate(scaled)]
+        power, floor = np.ldexp(out, 2 * exps)
+    return Estimates(first_index + row, rank[order], amp[order], freq[order], phase[order],
+                     t_centers[row], power, floor)
 
 
-def estimate_block(
-    block: np.ndarray, config: StsaConfig, sample_rate_hz: float,
-    t_center_s: float = 0.0, block_index: int = 0,
-) -> BlockEstimates:
-    """Run the full peel loop on one block (a batch of one).
+def estimate_block(block: np.ndarray, config: StsaConfig, sample_rate_hz: float) -> BlockEstimates:
+    """Run the full peel loop on one block (a batch of one), centered at t = 0.
 
     Each iteration re-windows the current unwindowed residual, so earlier
     subtractions sharpen later detections.  Stops at the detection threshold
@@ -324,29 +361,23 @@ def estimate_block(
         raise ValueError(
             f"block length {block.size} != configured block_len_n {config.block_len_n}"
         )
-    return _estimate_blocks(block.reshape(1, -1), config, sample_rate_hz, [t_center_s], block_index)[0]
-
-
-def block_center_time(stream: SampleStream, config: StsaConfig, block_index: int) -> float:
-    start = block_index * config.hop
-    return stream.t0_s + (start + (config.block_len_n - 1) / 2.0) / stream.sample_rate_hz
+    return _estimate_blocks(block.reshape(1, -1), config, sample_rate_hz, np.zeros(1), 0)[0]
 
 
 # Samples per batch: blocks enough to amortize a round, few enough that its temporaries stay in cache.
 _BATCH_SAMPLES = 2**18
 
 
-def process_stream(stream: SampleStream, config: StsaConfig) -> list[BlockEstimates]:
+def process_stream(stream: SampleStream, config: StsaConfig) -> Estimates:
     """Estimate every complete block of the stream (tail samples are dropped)."""
-    n = config.block_len_n
+    n, hop, rate = config.block_len_n, config.hop, stream.sample_rate_hz
     if len(stream) < n:
-        return []
-    blocks = sliding_window_view(stream.samples, n)[:: config.hop]
+        return _estimate_blocks(np.zeros((0, n)), config, rate, np.zeros(0), 0)
+    blocks = sliding_window_view(stream.samples, n)[::hop]
+    t_centers = stream.t0_s + (np.arange(len(blocks)) * hop + (n - 1) / 2.0) / rate
     batch = max(1, _BATCH_SAMPLES // n)
-    results = []
-    for first in range(0, len(blocks), batch):
-        rows = blocks[first : first + batch]
-        times = [block_center_time(stream, config, i) for i in range(first, first + len(rows))]
-        results += _estimate_blocks(rows, config, stream.sample_rate_hz, times, first)
-    return results
-
+    tables = [_estimate_blocks(blocks[first : first + batch], config, rate,
+                               t_centers[first : first + batch], first)
+              for first in range(0, len(blocks), batch)]
+    columns = zip(*(vars(t).values() for t in tables))  # each field across the batches
+    return Estimates(*map(np.concatenate, columns))

@@ -6,7 +6,7 @@ Each stage is called through its module attribute (`blockproc.process_stream`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import blockproc, iq, synthesis
 from .blockproc import StsaConfig
@@ -53,7 +53,7 @@ def run_cancel(
         tracks = synthesis.assemble_tracks(blocks, config, work.sample_rate_hz, jump_limit_bins)
         if strongest_only and tracks:
             tracks = [max(tracks, key=Track.total_energy)]
-        tracks = [Track(t.entries, next_id + i) for i, t in enumerate(tracks)]
+        tracks = [replace(t, signal_id=next_id + i) for i, t in enumerate(tracks)]
         next_id += len(tracks)
         meta = (len(work), work.sample_rate_hz, work.t0_s)
         residual = synthesis.cancel(work, synthesis.synthesize(tracks, meta, config))

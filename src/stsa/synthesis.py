@@ -12,32 +12,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .blockproc import BlockEstimates, StsaConfig
+from .blockproc import Estimates, StsaConfig
 from .iq import SampleStream
 
 DEFAULT_JUMP_LIMIT_BINS = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Track:
-    """Time-ordered chain of per-block estimates belonging to one signal."""
+    """Time-ordered chain of per-block estimates belonging to one signal.
 
-    entries: tuple
+    The columns are the row columns of blockproc.Estimates, one value per
+    block the track visits.
+    """
+
     signal_id: int
+    block_index: np.ndarray
+    peel_rank: np.ndarray
+    amp: np.ndarray
+    freq_hz: np.ndarray
+    phase_rad: np.ndarray
+    t_center_s: np.ndarray
 
     def __post_init__(self):
-        indices = [e.block_index for e in self.entries]
-        if any(later <= earlier for earlier, later in zip(indices, indices[1:])):
+        if np.any(np.diff(self.block_index) <= 0):
             raise ValueError("track block indices must be strictly increasing")
 
     def total_energy(self) -> float:
-        return float(sum(e.amp**2 for e in self.entries))
+        return float(sum(a**2 for a in self.amp.tolist()))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.block_index.size
 
 
 @dataclass
@@ -53,7 +62,7 @@ class SynthesizedWaveform:
 
 
 def assemble_tracks(
-    all_blocks: list[BlockEstimates],
+    estimates: Estimates,
     config: StsaConfig,
     sample_rate_hz: float,
     jump_limit_bins: float = DEFAULT_JUMP_LIMIT_BINS,
@@ -68,39 +77,34 @@ def assemble_tracks(
     if not jump_limit_bins > 0:
         raise ValueError(f"jump_limit_bins must be positive, got {jump_limit_bins!r}")
     bin_width = config.bin_width_hz(sample_rate_hz)
-    open_tracks: list[dict] = []
-    last_index = None
-    for blk in all_blocks:
-        if last_index is not None and blk.block_index <= last_index:
-            raise ValueError("blocks must be supplied in increasing index order")
-        last_index = blk.block_index
-        taken = set()
-        for est in blk.estimates:
-            best = None
-            best_dist = None
-            for ti, trk in enumerate(open_tracks):
-                if ti in taken:
-                    continue
-                gap = est.block_index - trk["last_block"]
-                limit = jump_limit_bins * bin_width * gap
-                dist = abs(est.freq_hz - trk["last_freq"])
-                if dist < limit and (best_dist is None or dist < best_dist):
-                    best, best_dist = ti, dist
-            if best is None:
-                open_tracks.append(
-                    {"entries": [est], "last_freq": est.freq_hz, "last_block": est.block_index}
-                )
-                taken.add(len(open_tracks) - 1)
-            else:
-                trk = open_tracks[best]
-                trk["entries"].append(est)
-                trk["last_freq"] = est.freq_hz
-                trk["last_block"] = est.block_index
-                taken.add(best)
-    return [
-        Track(tuple(trk["entries"]), signal_id)
-        for signal_id, trk in enumerate(open_tracks)
-    ]
+    members, ends = [], []  # per track: its rows, and the frequency and block it ends at
+    current, taken = None, set()
+    for row, (block, freq) in enumerate(zip(estimates.block_index.tolist(),
+                                            estimates.freq_hz.tolist())):
+        if block != current:
+            if current is not None and block < current:
+                raise ValueError("blocks must be supplied in increasing index order")
+            current, taken = block, set()
+        best = None
+        best_dist = None
+        for ti, (track_freq, track_block) in enumerate(ends):
+            if ti in taken:
+                continue
+            limit = jump_limit_bins * bin_width * (block - track_block)
+            dist = abs(freq - track_freq)
+            if dist < limit and (best_dist is None or dist < best_dist):
+                best, best_dist = ti, dist
+        if best is None:
+            best = len(members)
+            members.append([])
+            ends.append(None)
+        members[best].append(row)
+        ends[best] = freq, block
+        taken.add(best)
+    columns = (estimates.block_index, estimates.peel_rank, estimates.amp, estimates.freq_hz,
+               estimates.phase_rad, estimates.t_center_s)
+    return [Track(signal_id, *(c[rows] for c in columns))
+            for signal_id, rows in enumerate(members)]
 
 
 def synthesize(
@@ -126,7 +130,7 @@ def synthesize(
     hop = config.hop
     ic0 = n // 2  # ceil((n - 1) / 2)
     delta = ic0 - (n - 1) / 2.0
-    last = max((e.block_index for t in tracks for e in t.entries), default=-1)
+    last = max((int(t.block_index[-1]) for t in tracks if len(t)), default=-1)
     rows = max(-(-(hop - ic0 + length) // hop), last + 2)
     frames = np.zeros((rows, hop), dtype=np.complex128)
     covered = np.zeros((rows, hop), dtype=bool)
@@ -144,11 +148,9 @@ def synthesize(
     chunk = max(1, 2**19 // hop)  # entries per pass: ~2**20 samples of temporaries
 
     for track in tracks:
-        if not track.entries:
+        if not len(track):
             raise ValueError("cannot synthesize an empty track")
-        amp, freq, phase, blk = np.array(
-            [(e.amp, e.freq_hz, e.phase_rad, e.block_index) for e in track.entries]).T
-        blk = blk.astype(np.intp)
+        amp, freq, phase, blk = track.amp, track.freq_hz, track.phase_rad, track.block_index
         if blk[0] < 0:
             raise ValueError(f"block_index must be non-negative, got {blk[0]}")
         gap = np.diff(blk) > 1
@@ -195,8 +197,7 @@ def write_tracks_csv(tracks: list[Track], path) -> None:
     with open(path, "w") as fh:
         fh.write("signal_id,block_index,t_center_s,peel_rank,amp,freq_hz,phase_rad\n")
         for trk in tracks:
-            for e in trk.entries:
-                fh.write(
-                    f"{trk.signal_id},{e.block_index},{e.t_center_s:.9f},{e.peel_rank},"
-                    f"{e.amp:.9g},{e.freq_hz:.6f},{e.phase_rad:.9f}\n"
-                )
+            columns = (trk.block_index, trk.t_center_s, trk.peel_rank, trk.amp, trk.freq_hz,
+                       trk.phase_rad)
+            fh.writelines(map("%d,%d,%.9f,%d,%.9g,%.6f,%.9f\n".__mod__,
+                              zip(repeat(trk.signal_id), *(c.tolist() for c in columns))))

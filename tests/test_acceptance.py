@@ -28,7 +28,8 @@ from stsa.metrics import (
     suppression_report,
 )
 from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm, gen_tone, mix
-from stsa.synthesis import Track, assemble_tracks, cancel, synthesize
+from stsa.synthesis import assemble_tracks, cancel, synthesize
+from table_helpers import track
 
 RATE = 2048000.0
 N = 256
@@ -208,9 +209,9 @@ def test_criterion_6_multi_signal_peel():
     tracks = assemble_tracks(blocks, config, RATE)
     covered = sorted(
         (t for t in tracks if len(t) > len(blocks) // 2),
-        key=lambda t: np.mean([e.freq_hz for e in t.entries]),
+        key=lambda t: np.mean(t.freq_hz),
     )
-    freqs_found = [float(np.mean([e.freq_hz for e in t.entries])) for t in covered]
+    freqs_found = [float(np.mean(t.freq_hz)) for t in covered]
     three_ok = len(covered) == 3 and all(
         abs(found - expected) < 2000.0
         for found, expected in zip(freqs_found, [-25000.0, 0.0, 25000.0])
@@ -332,7 +333,7 @@ def test_criterion_8_invariant_suite(fm_scenario):
                          (b * n_odd + (n_odd - 1) / 2) / RATE, 0)
         for b in range(3)
     )
-    wave = synthesize([Track(entries, 0)], (3 * n_odd, RATE, 0.0), cfg_odd)
+    wave = synthesize([track(entries, 0)], (3 * n_odd, RATE, 0.0), cfg_odd)
     anchor_ok = all(
         wave.samples[b * n_odd + (n_odd - 1) // 2] == 0.8 * np.exp(1j * (0.3 + 0.1 * b))
         for b in range(3)

@@ -10,7 +10,7 @@ in another order), in at most 0.1 % of estimates; everything else agrees to
 The reference kernel below is the earlier batched peel, which gathered the
 active rows out of the whole batch every round, scattered the subtraction back
 and took the floor with np.median.  At the same batch size process_stream must
-equal it exactly.
+equal it exactly, block for block.
 """
 
 import itertools
@@ -31,7 +31,6 @@ from stsa.blockproc import (
     _normalize,
     _window_mean,
     apply_window,
-    block_center_time,
     detect_peak,
     estimate_amp_phase,
     process_stream,
@@ -42,6 +41,7 @@ from stsa.blockproc import (
 )
 from stsa.iq import SampleStream
 from stsa.siggen import NbfmSpec, add_awgn, gen_am, gen_nbfm, gen_tone, mix
+from table_helpers import estimates_table
 
 RATE = 2048000.0
 N = 256
@@ -98,6 +98,11 @@ def oracle_estimate_block(
     )
     residual_power = float(np.mean(np.abs(residual) ** 2))
     return BlockEstimates(block_index, tuple(estimates), residual_power, floor)
+
+
+def block_center_time(stream: SampleStream, config: StsaConfig, block_index: int) -> float:
+    start = block_index * config.hop
+    return stream.t0_s + (start + (config.block_len_n - 1) / 2.0) / stream.sample_rate_hz
 
 
 def oracle_process_stream(stream: SampleStream, config: StsaConfig) -> list[BlockEstimates]:
@@ -173,8 +178,8 @@ def reference_estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_i
     for rank, columns in enumerate(rounds):
         for row, a, f, p in zip(*columns):
             per_block[row].append(SinusoidEstimate(a, f, p, first_index + row, t_centers[row], rank))
-    return [BlockEstimates(first_index + row, tuple(ests), power, floor) for row, (ests, power, floor)
-            in enumerate(zip(per_block, *np.ldexp([powers, floors], 2 * exps).tolist()))]
+    return estimates_table([e for ests in per_block for e in ests],
+                           *np.ldexp([powers, floors], 2 * exps))
 
 
 def assert_equals_reference(stream, config):
@@ -182,10 +187,10 @@ def assert_equals_reference(stream, config):
 
     Both run through process_stream's batching at the current _BATCH_SAMPLES.
     """
-    got = process_stream(stream, config)
+    got = list(process_stream(stream, config))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(blockproc, "_estimate_blocks", reference_estimate_blocks)
-        assert got == process_stream(stream, config)
+        assert got == list(process_stream(stream, config))
 
 
 def assert_matches_oracle(stream, config):
@@ -261,7 +266,7 @@ def test_stationary_tone():
 
 def test_stream_shorter_than_one_block():
     stream = noisy_tones([(1.0, 82137.0, 0.0)], N - 1, 6)
-    assert process_stream(stream, StsaConfig()) == []
+    assert list(process_stream(stream, StsaConfig())) == []
     assert_matches_oracle(stream, StsaConfig())
 
 
@@ -290,7 +295,7 @@ def test_all_zero_blocks():
     tone[5 * N : 12 * N] = 0.0
     tone[-N:] = 0.0
     stream = SampleStream(tone, RATE)
-    blocks = process_stream(stream, StsaConfig())
+    blocks = list(process_stream(stream, StsaConfig()))
     for b in blocks[5:12] + blocks[-1:]:
         assert (b.estimates, b.noise_floor, b.residual_power) == ((), 0.0, 0.0)
     assert_matches_oracle(stream, StsaConfig())

@@ -56,6 +56,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             StsaConfig(block_len_n=255, overlap="half")
 
+    @pytest.mark.parametrize("field,value", [
+        ("detect_threshold_db", float("nan")), ("detect_threshold_db", float("inf")),
+        ("detect_threshold_db", float("-inf")), ("fine_search_span_bins", float("nan")),
+        ("fine_search_span_bins", float("inf")), ("fine_search_span_bins", 0.0),
+    ])
+    def test_non_finite_or_non_positive_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StsaConfig(**{field: value})
+
     def test_half_overlap_hop(self):
         assert StsaConfig(overlap="half").hop == 128
 

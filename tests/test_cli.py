@@ -240,6 +240,21 @@ class TestCancel:
         assert capsys.readouterr().err.startswith("error: jump_limit_bins must be positive")
         assert not resid.exists()
 
+    @pytest.mark.parametrize("setting,field", [
+        ("--threshold-db=nan", "detect_threshold_db"), ("--threshold-db=inf", "detect_threshold_db"),
+        ("--threshold-db=-inf", "detect_threshold_db"), ("--span-bins=inf", "fine_search_span_bins"),
+        ("--span-bins=nan", "fine_search_span_bins"),
+    ])
+    def test_non_finite_estimator_setting_is_parameter_error(self, tmp_path, capsys, setting,
+                                                              field):
+        src = self.gen_tone_file(tmp_path, n=2560)
+        resid = tmp_path / "resid.iq"
+        code = run(["cancel", "--in", str(src), "--rate", RATE, setting,
+                    "--out-residual", str(resid)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not resid.exists()
+
     def test_missing_input_io_error(self, tmp_path, capsys):
         code = run([
             "cancel", "--in", str(tmp_path / "nope.iq"), "--rate", RATE,

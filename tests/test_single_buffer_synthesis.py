@@ -24,6 +24,7 @@ from stsa.synthesis import (
     combine_waveforms,
     synthesize,
 )
+import table_helpers
 
 RATE = 2048000.0
 
@@ -64,7 +65,7 @@ def slice_synthesize(
         covered[lo : lo + values.size] = True
 
     for track in tracks:
-        entries = track.entries
+        entries = table_helpers.entries(track)
         if not entries:
             raise ValueError("cannot synthesize an empty track")
         for i, e in enumerate(entries):
@@ -99,7 +100,7 @@ def oracle_synthesize(
     use the nearest estimate unblended.  Detection gaps wider than one block
     step are left at zero (coverage False) rather than bridged.
     """
-    if not track.entries:
+    if not len(track):
         raise ValueError("cannot synthesize an empty track")
     length, sample_rate_hz, _t0 = stream_meta
     n = config.block_len_n
@@ -117,7 +118,7 @@ def oracle_synthesize(
             out[lo:hi] = values[: hi - lo]
             covered[lo:hi] = True
 
-    entries = track.entries
+    entries = table_helpers.entries(track)
     first, last = entries[0], entries[-1]
 
     # Leading half-block: nearest (first) estimate, unblended.
@@ -172,7 +173,7 @@ def assert_close_to_slices(tracks, meta, config):
     got = synthesize(tracks, meta, config)
     want = slice_synthesize(tracks, meta, config)
     assert got.coverage.tobytes() == want.coverage.tobytes()
-    scale = sum(max(e.amp for e in t.entries) for t in tracks)
+    scale = sum(t.amp.max() for t in tracks)
     bound = 4 * config.block_len_n * 2.0**-52 * scale
     assert np.abs(got.samples - want.samples).max(initial=0.0) <= bound
 
@@ -229,7 +230,7 @@ def scenarios(draw):
                              b, (b * config.hop + (n - 1) / 2) / RATE, 0)
             for b in indices
         )
-        tracks.append(Track(entries, signal_id))
+        tracks.append(table_helpers.track(entries, signal_id))
     return tracks, (length, RATE, 0.0), config
 
 
@@ -258,7 +259,7 @@ def wide_scenarios(draw):
                              (b * config.hop + (n - 1) / 2) / RATE, 0)
             for b in indices
         )
-        tracks.append(Track(entries, signal_id))
+        tracks.append(table_helpers.track(entries, signal_id))
     return tracks, (length, RATE, 0.0), config
 
 
@@ -283,14 +284,14 @@ def test_no_tracks_render_zeros():
 
 def test_empty_track_rejected_anywhere_in_list():
     config = StsaConfig(block_len_n=8)
-    full = Track((SinusoidEstimate(1.0, 0.0, 0.0, 0, 0.0, 0),), 0)
-    for tracks in ([Track((), 0)], [full, Track((), 1)]):
+    full = table_helpers.track((SinusoidEstimate(1.0, 0.0, 0.0, 0, 0.0, 0),), 0)
+    for tracks in ([table_helpers.track((), 0)], [full, table_helpers.track((), 1)]):
         with pytest.raises(ValueError, match="empty track"):
             synthesize(tracks, (64, RATE, 0.0), config)
 
 
 def test_negative_block_index_rejected():
     config = StsaConfig(block_len_n=8)
-    track = Track((SinusoidEstimate(1.0, 0.0, 0.0, -1, 0.0, 0),), 0)
+    track = table_helpers.track((SinusoidEstimate(1.0, 0.0, 0.0, -1, 0.0, 0),), 0)
     with pytest.raises(ValueError, match="block_index must be non-negative"):
         synthesize([track], (64, RATE, 0.0), config)

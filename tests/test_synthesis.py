@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
-from stsa.blockproc import BlockEstimates, SinusoidEstimate, StsaConfig, process_stream
+from stsa.blockproc import SinusoidEstimate, StsaConfig, process_stream
 from stsa.iq import SampleStream
 from stsa.siggen import add_awgn, gen_tone, mix
 from stsa.synthesis import (
     SynthesizedWaveform,
-    Track,
     assemble_tracks,
     cancel,
     combine_waveforms,
     synthesize,
     write_tracks_csv,
 )
+import table_helpers
+from table_helpers import estimates_table, track
 
 RATE = 2048000.0
 N = 256
@@ -26,19 +27,16 @@ def est(block_index, freq_hz, amp=1.0, phase=0.0, rank=0, hop=N):
 
 
 def blocks_from(estimates_by_block):
-    out = []
-    for bi, ests in sorted(estimates_by_block.items()):
-        out.append(BlockEstimates(bi, tuple(ests), 0.0, 0.0))
-    return out
+    return estimates_table([e for _, ests in sorted(estimates_by_block.items()) for e in ests])
 
 
 class TestTrackType:
     def test_indices_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
-            Track((est(3, 0.0), est(3, 0.0)), 0)
+            track((est(3, 0.0), est(3, 0.0)), 0)
 
     def test_energy(self):
-        t = Track((est(0, 0.0, amp=2.0), est(1, 0.0, amp=1.0)), 0)
+        t = track((est(0, 0.0, amp=2.0), est(1, 0.0, amp=1.0)), 0)
         assert t.total_energy() == 5.0
 
 
@@ -61,9 +59,9 @@ class TestAssembleTracks:
         big = [t for t in tracks if len(t) >= 45]
         assert len(big) == 2
         for trk in big:
-            freqs = np.array([e.freq_hz for e in trk.entries])
+            freqs = trk.freq_hz
             assert np.ptp(freqs) < 100.0, "track mixes frequencies"
-        medians = sorted(np.median([e.freq_hz for e in t.entries]) for t in big)
+        medians = sorted(np.median(t.freq_hz) for t in big)
         assert abs(medians[0] + 50000.0) < 100
         assert abs(medians[1] - 50000.0) < 100
 
@@ -96,7 +94,7 @@ class TestAssembleTracks:
             assemble_tracks(blocks, self.CFG, RATE, jump_limit_bins=limit)
 
     def test_out_of_order_blocks_rejected(self):
-        blocks = blocks_from({0: [est(0, 0.0)], 1: [est(1, 0.0)]})[::-1]
+        blocks = estimates_table([est(1, 0.0), est(0, 0.0)])
         with pytest.raises(ValueError, match="order"):
             assemble_tracks(blocks, self.CFG, RATE)
 
@@ -104,7 +102,7 @@ class TestAssembleTracks:
 class TestSynthesize:
     def test_empty_track_rejected(self):
         with pytest.raises(ValueError):
-            synthesize([Track((), 0)], (1024, RATE, 0.0), StsaConfig())
+            synthesize([track((), 0)], (1024, RATE, 0.0), StsaConfig())
 
     def test_block_center_anchor_odd_n(self):
         # Odd block length puts centers on the sample grid; there the blend
@@ -115,7 +113,7 @@ class TestSynthesize:
         for b in range(4):
             t_center = (b * n_odd + (n_odd - 1) / 2) / RATE
             entries.append(SinusoidEstimate(0.8, 70000.0, 0.3 + 0.1 * b, b, t_center, 0))
-        wave = synthesize([Track(tuple(entries), 0)], (4 * n_odd, RATE, 0.0), cfg)
+        wave = synthesize([track(entries, 0)], (4 * n_odd, RATE, 0.0), cfg)
         for b in range(4):
             center_idx = b * n_odd + (n_odd - 1) // 2
             expected = 0.8 * np.exp(1j * (0.3 + 0.1 * b))
@@ -151,7 +149,7 @@ class TestSynthesize:
         amp = 1.0
         entries = (est(0, f, amp, 0.0), est(1, f, amp, 0.1))
         cfg = StsaConfig()
-        wave = synthesize([Track(entries, 0)], (2 * N, RATE, 0.0), cfg)
+        wave = synthesize([track(entries, 0)], (2 * N, RATE, 0.0), cfg)
         jumps = np.abs(np.diff(wave.samples[wave.coverage]))
         tone_rotation = 2 * amp * abs(np.sin(np.pi * f / RATE))
         assert jumps.max() <= tone_rotation + 1.2 * amp * 0.1 / N
@@ -171,14 +169,14 @@ class TestSynthesize:
         tracks = assemble_tracks(blocks, cfg, RATE)
         main = max(tracks, key=lambda t: t.total_energy())
         wave = synthesize([main], (len(noisy), RATE, 0.0), cfg)
-        amp_max = max(e.amp for e in main.entries)
+        amp_max = main.amp.max()
         ideal_step = 2 * amp_max * np.sin(np.pi * 5000.0 / RATE)
         assert np.abs(np.diff(wave.samples)).max() <= 3 * ideal_step
 
     def test_gap_wider_than_one_block_zero_filled(self):
         entries = (est(0, 50000.0), est(3, 50000.0))
         cfg = StsaConfig()
-        wave = synthesize([Track(entries, 0)], (4 * N, RATE, 0.0), cfg)
+        wave = synthesize([track(entries, 0)], (4 * N, RATE, 0.0), cfg)
         # own blocks covered, the two missing blocks zero
         assert wave.coverage[:N].all()
         assert not wave.coverage[N : 3 * N].any()
@@ -187,13 +185,13 @@ class TestSynthesize:
 
     def test_adjacent_blocks_blend_continuously(self):
         entries = (est(0, 50000.0), est(1, 50080.0))
-        wave = synthesize([Track(entries, 0)], (2 * N, RATE, 0.0), StsaConfig())
+        wave = synthesize([track(entries, 0)], (2 * N, RATE, 0.0), StsaConfig())
         assert wave.coverage.all()
 
     def test_leading_and_trailing_edges_unblended(self):
         entries = (est(2, 40000.0, amp=0.5, phase=1.0),)
         cfg = StsaConfig()
-        wave = synthesize([Track(entries, 0)], (5 * N, RATE, 0.0), cfg)
+        wave = synthesize([track(entries, 0)], (5 * N, RATE, 0.0), cfg)
         assert not wave.coverage[: 2 * N].any()
         assert wave.coverage[2 * N : 3 * N].all()
         assert not wave.coverage[3 * N :].any()
@@ -244,10 +242,37 @@ def test_combine_waveforms():
 
 
 def test_tracks_csv(tmp_path):
-    tracks = [Track((est(0, 1000.0), est(1, 1000.0)), 0), Track((est(5, -2000.0),), 1)]
+    tracks = [track((est(0, 1000.0), est(1, 1000.0)), 0), track((est(5, -2000.0),), 1)]
     path = tmp_path / "tracks.csv"
     write_tracks_csv(tracks, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "signal_id,block_index,t_center_s,peel_rank,amp,freq_hz,phase_rad"
     assert len(lines) == 4
     assert lines[3].startswith("1,5,")
+
+
+def fstring_tracks_csv(tracks, path):
+    """The earlier per-entry f-string writer, kept as the byte-level oracle."""
+    with open(path, "w") as fh:
+        fh.write("signal_id,block_index,t_center_s,peel_rank,amp,freq_hz,phase_rad\n")
+        for trk in tracks:
+            for e in table_helpers.entries(trk):
+                fh.write(
+                    f"{trk.signal_id},{e.block_index},{e.t_center_s:.9f},{e.peel_rank},"
+                    f"{e.amp:.9g},{e.freq_hz:.6f},{e.phase_rad:.9f}\n"
+                )
+
+
+@pytest.mark.parametrize("tracks", [
+    [track((est(0, 1000.0), est(1, 1000.0, rank=2)), 0), track((est(5, -2000.0),), 1),
+     track((), 2), track((est(7, 3.5, amp=0.25),), 11)],
+    [],
+    [track((est(3, -123456.789, phase=-0.0), est(4, -0.0, phase=-3.141592653589793)), 4)],
+    [track(tuple(est(b, 1e5, amp=a) for b, a in
+                 enumerate([1e-12, 1.23456789e11, 5e-324, 2.5e-320, 0.0])), 0)],
+    [track((est(0, 82000.0, amp=float("inf")),), 0)],
+])
+def test_tracks_csv_matches_fstring_writer(tmp_path, tracks):
+    write_tracks_csv(tracks, tmp_path / "fast.csv")
+    fstring_tracks_csv(tracks, tmp_path / "oracle.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
