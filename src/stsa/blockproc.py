@@ -46,16 +46,17 @@ class StsaConfig:
     """Estimator configuration.
 
     fine_grid_fraction is the frequency search step as a fraction of one FFT
-    bin; fine_search_span_bins is the half-width of the search around the
-    coarse peak.  max_peel bounds how many sinusoids are extracted per block
-    (the detection threshold is the primary stop).
+    bin; the search covers the coarse peak's main lobe, the class constant
+    fine_search_span_bins = 1 bin either side.  max_peel bounds how many
+    sinusoids are extracted per block (the detection threshold is the primary stop).
     """
+
+    fine_search_span_bins = 1.0
 
     block_len_n: int = 256
     window: str = "triangular"
     detect_threshold_db: float = 10.0
     fine_grid_fraction: float = 0.01
-    fine_search_span_bins: float = 1.0
     max_peel: int = 8
     overlap: str = "none"
 
@@ -68,8 +69,6 @@ class StsaConfig:
             raise ValueError("fine_grid_fraction must lie in (0, 1]")
         if not math.isfinite(self.detect_threshold_db):
             raise ValueError("detect_threshold_db must be finite")
-        if not 0 < self.fine_search_span_bins < math.inf:
-            raise ValueError("fine_search_span_bins must be positive and finite")
         if self.max_peel < 1:
             raise ValueError("max_peel must be at least 1")
         if self.overlap not in OVERLAP_MODES:
@@ -191,7 +190,7 @@ def _centered_times(n: int, sample_rate_hz: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _correlation_bank(n, sample_rate_hz, fraction, span_bins):
+def _correlation_bank(n, sample_rate_hz, fraction):
     """Fine-grid frequency offsets (Hz) and the matching probe matrix.
 
     Row m of the matrix is exp(-j*2*pi*offset[m]*t_k); the search for any
@@ -200,7 +199,7 @@ def _correlation_bank(n, sample_rate_hz, fraction, span_bins):
     of a search breaks ties toward the coarse frequency, then downward.
     """
     bin_width = sample_rate_hz / n
-    n_steps = int(round(span_bins / fraction))
+    n_steps = int(round(StsaConfig.fine_search_span_bins / fraction))
     steps = np.arange(2 * n_steps + 1)
     offsets_hz = (steps + 1) // 2 * np.where(steps % 2, -1, 1) * (fraction * bin_width)
     t = _centered_times(n, sample_rate_hz)
@@ -257,14 +256,11 @@ def refine_frequency(
 ) -> float:
     """Grid argmax of the correlation magnitude around the coarse frequency.
 
-    The grid spans coarse +/- fine_search_span_bins bins in steps of
-    fine_grid_fraction of a bin; ties break toward the frequency nearest the
-    coarse estimate.
+    The grid spans coarse +/- one bin in steps of fine_grid_fraction of a bin;
+    ties break toward the frequency nearest the coarse estimate.
     """
     n = windowed_block.size
-    offsets_hz, bank = _correlation_bank(
-        n, sample_rate_hz, config.fine_grid_fraction, config.fine_search_span_bins
-    )
+    offsets_hz, bank = _correlation_bank(n, sample_rate_hz, config.fine_grid_fraction)
     t = _centered_times(n, sample_rate_hz)
     mixed = windowed_block * np.exp(-2j * np.pi * coarse_freq_hz * t)
     return coarse_freq_hz + float(offsets_hz[np.argmax(np.abs(bank @ mixed))])
@@ -307,9 +303,7 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
     n = config.block_len_n
     w = window_values(config.window, n)
     w_mean = _window_mean(config.window, n)
-    offsets_hz, bank = _correlation_bank(
-        n, sample_rate_hz, config.fine_grid_fraction, config.fine_search_span_bins
-    )
+    offsets_hz, bank = _correlation_bank(n, sample_rate_hz, config.fine_grid_fraction)
     work, exps = _normalize(blocks)  # outputs are scaled back by 2**exps
     out = np.zeros((2, len(work)))  # residual power and floor of each block
     active = np.arange(len(work))

@@ -8,30 +8,15 @@ Exit codes: 0 success, 2 usage or parameter error, 1 runtime (I/O) error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
 from . import iq, metrics, pipeline, siggen, synthesis
-from .blockproc import StsaConfig
+from .blockproc import OVERLAP_MODES, StsaConfig
 from .iq import IqFormat
 
 WINDOW_FLAGS = {"tri": "triangular", "hamming": "hamming", "rect": "rectangular"}
-
-
-def _add_shared_estimator_flags(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, default=256, help="block length N in samples")
-    p.add_argument("--window", choices=sorted(WINDOW_FLAGS), default="tri",
-                   help="analysis window")
-    p.add_argument("--threshold-db", type=float, default=10.0,
-                   help="peak-over-median detection threshold")
-    p.add_argument("--grid-frac", type=float, default=0.01,
-                   help="fine search step as a fraction of the bin width")
-    p.add_argument("--span-bins", type=float, default=1.0,
-                   help="fine search half-width around the coarse peak, in bins")
-    p.add_argument("--max-peel", type=int, default=8,
-                   help="maximum sinusoids extracted per block")
-    p.add_argument("--overlap", choices=["none", "half"], default="none",
-                   help="block overlap mode")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,17 +25,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Block-wise sinusoid estimation and coherent cancellation for IQ recordings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    raw = argparse.RawDescriptionHelpFormatter  # keeps each CSV header in an epilog on one line
+    stream_flags = argparse.ArgumentParser(add_help=False)  # every subcommand reads IQ files
+    stream_flags.add_argument("--rate", type=float, required=True, help="sample rate in Hz")
+    stream_flags.add_argument("--format", choices=[f.value for f in IqFormat],
+                              default=IqFormat.FLOAT32.value, help="IQ file sample encoding")
 
     g = sub.add_parser(
-        "generate",
+        "generate", parents=[stream_flags], formatter_class=raw,
         help="synthesize an IQ file with a truth sidecar",
-        epilog="Truth sidecar CSV columns: sample_index, f_inst_hz, amplitude.",
+        epilog=f"Truth sidecar CSV columns:\n  {siggen.TRUTH_CSV_HEADER}",
     )
     kind = g.add_mutually_exclusive_group(required=True)
     kind.add_argument("--tone", action="store_true", help="stationary complex tone")
     kind.add_argument("--nbfm", action="store_true", help="narrowband FM carrier")
     kind.add_argument("--am", action="store_true", help="AM carrier")
-    g.add_argument("--rate", type=float, required=True, help="sample rate in Hz")
     g.add_argument("--n", type=int, help="number of samples")
     g.add_argument("--dur", type=float, help="duration in seconds (alternative to --n)")
     g.add_argument("--freq", type=float, default=0.0, help="tone/AM carrier offset in Hz")
@@ -58,11 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--amp", type=float, default=1.0, help="carrier amplitude")
     g.add_argument("--psi", type=float, default=0.0, help="tone start phase in radians")
     g.add_argument("--dev", type=float, default=4000.0, help="NBFM peak deviation in Hz")
-    g.add_argument("--mod-tone", action="append", default=None, metavar="FREQ[:AMP]",
+    g.add_argument("--mod-tone", action="append", metavar="FREQ[:AMP]",
                    help="NBFM modulating tone; repeat for a multi-tone sum")
-    g.add_argument("--mod-noise-bw", type=float, default=None,
+    g.add_argument("--mod-noise-bw", type=float,
                    help="NBFM band-limited-noise modulation bandwidth in Hz")
-    g.add_argument("--mod-noise-rms", type=float, default=None,
+    g.add_argument("--mod-noise-rms", type=float,
                    help="drive the noise modulation to this RMS (voice-like compression)")
     g.add_argument("--mod-index", type=float, default=0.5, help="AM modulation index")
     g.add_argument("--mod-freq", type=float, default=1000.0, help="AM modulating frequency")
@@ -71,23 +60,32 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--snr-band", type=float, nargs=2, metavar=("LO", "HI"),
                    help="band the SNR is defined over (default: NBFM Carson band)")
     g.add_argument("--seed", type=int, default=0, help="RNG seed (modulation uses seed, noise seed+1)")
-    g.add_argument("--format", choices=["i8", "f32"], default="f32")
     g.add_argument("--out", required=True, help="output IQ path")
-    g.add_argument("--truth", default=None,
-                   help="truth sidecar CSV path (default: <out>.truth.csv)")
+    g.add_argument("--truth", help="truth sidecar CSV path (default: <out>.truth.csv)")
 
     c = sub.add_parser(
-        "cancel",
+        "cancel", parents=[stream_flags], formatter_class=raw,
         help="estimate, synthesize, and subtract carriers",
-        epilog="Track CSV columns: signal_id, block_index, t_center_s, peel_rank, "
-               "amp, freq_hz, phase_rad.  Report CSV columns: band_lo_hz, band_hi_hz, "
-               "power_before, power_after, suppression_db, out_of_band_delta_db, "
-               "snr_in_band_db.",
+        epilog=f"Track CSV columns:\n  {synthesis.TRACKS_CSV_HEADER}\n"
+               f"Report CSV columns:\n  {metrics.REPORT_CSV_HEADER}",
     )
     c.add_argument("--in", dest="input", required=True, help="input IQ path")
-    c.add_argument("--rate", type=float, required=True, help="sample rate in Hz")
-    c.add_argument("--format", choices=["i8", "f32"], default="f32")
-    _add_shared_estimator_flags(c)
+    defaults = StsaConfig()  # one flag per field: dest is the field name, default its value
+    c.add_argument("--n", dest="block_len_n", type=int, default=defaults.block_len_n,
+                   help="block length N in samples")
+    c.add_argument("--window", choices=sorted(WINDOW_FLAGS),
+                   default=next(k for k, v in WINDOW_FLAGS.items() if v == defaults.window),
+                   help="analysis window")
+    c.add_argument("--threshold-db", dest="detect_threshold_db", type=float,
+                   default=defaults.detect_threshold_db,
+                   help="peak-over-median detection threshold")
+    c.add_argument("--grid-frac", dest="fine_grid_fraction", type=float,
+                   default=defaults.fine_grid_fraction,
+                   help="fine search step as a fraction of the bin width")
+    c.add_argument("--max-peel", type=int, default=defaults.max_peel,
+                   help="maximum sinusoids extracted per block")
+    c.add_argument("--overlap", choices=OVERLAP_MODES, default=defaults.overlap,
+                   help="block overlap mode")
     c.add_argument("--passes", type=int, default=1,
                    help="number of estimate-cancel iterations")
     c.add_argument("--strongest-only", action="store_true",
@@ -97,17 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--band", type=float, nargs=2, metavar=("LO", "HI"),
                    help="signal band for the suppression report")
     c.add_argument("--out-residual", required=True, help="residual IQ path")
-    c.add_argument("--out-estimate", default=None, help="estimated-waveform IQ path")
-    c.add_argument("--out-tracks", default=None,
-                   help="track CSV (signal_id,block_index,t_center_s,peel_rank,amp,freq_hz,phase_rad)")
-    c.add_argument("--report", default=None, help="suppression report CSV path")
+    c.add_argument("--out-estimate", help="estimated-waveform IQ path")
+    c.add_argument("--out-tracks", help=f"track CSV ({synthesis.TRACKS_CSV_HEADER})")
+    c.add_argument("--report", help="suppression report CSV path")
 
     a = sub.add_parser(
-        "analyze",
+        "analyze", parents=[stream_flags], formatter_class=raw,
         help="spectra, waterfalls, and suppression reports",
-        epilog="Spectrum CSV columns: freq_hz, power (density, linear units).  "
-               "Waterfall CSV: header row of frequencies, then one row per time "
-               "cell starting with time_s.",
+        epilog=f"Spectrum CSV columns (power is a density):\n  {metrics.SPECTRUM_CSV_HEADER}\n"
+               "Waterfall CSV: time_s and the frequencies, then one row per time cell.\n"
+               f"Report CSV columns:\n  {metrics.REPORT_CSV_HEADER}",
     )
     what = a.add_mutually_exclusive_group(required=True)
     what.add_argument("--spectrum", action="store_true", help="averaged power spectrum CSV")
@@ -116,14 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--in", dest="input", help="input IQ path (spectrum/waterfall)")
     a.add_argument("--before", help="pre-cancellation IQ path (suppression)")
     a.add_argument("--after", help="post-cancellation IQ path (suppression)")
-    a.add_argument("--rate", type=float, required=True, help="sample rate in Hz")
-    a.add_argument("--format", choices=["i8", "f32"], default="f32")
-    a.add_argument("--res", type=float, default=125.0, help="spectral resolution in Hz")
+    a.add_argument("--res", type=float, default=metrics.DEFAULT_RESOLUTION_HZ,
+                   help="spectral resolution in Hz")
     a.add_argument("--tres", type=float, default=0.008, help="waterfall time resolution in s")
-    a.add_argument("--fres", type=float, default=125.0, help="waterfall frequency resolution in Hz")
+    a.add_argument("--fres", type=float, default=metrics.DEFAULT_RESOLUTION_HZ,
+                   help="waterfall frequency resolution in Hz")
     a.add_argument("--band", type=float, nargs=2, metavar=("LO", "HI"),
                    help="signal band for the suppression report")
-    a.add_argument("--out", default=None, help="output CSV path")
+    a.add_argument("--out", help="output CSV path")
     return parser
 
 
@@ -143,6 +140,9 @@ def _sample_count(args) -> int:
         raise ValueError("one of --n or --dur is required")
     if args.n is not None:
         return args.n
+    if not 0 <= args.dur * args.rate < math.inf:
+        raise ValueError(f"--dur {args.dur} s at --rate {args.rate} Hz is not a finite, "
+                         "nonnegative sample count")
     return int(round(args.dur * args.rate))
 
 
@@ -184,17 +184,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_cancel(args) -> int:
-    config = StsaConfig(
-        block_len_n=args.n,
-        window=WINDOW_FLAGS[args.window],
-        detect_threshold_db=args.threshold_db,
-        fine_grid_fraction=args.grid_frac,
-        fine_search_span_bins=args.span_bins,
-        max_peel=args.max_peel,
-        overlap=args.overlap,
-    )
+    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(StsaConfig)}
+    config = StsaConfig(**{**settings, "window": WINDOW_FLAGS[args.window]})
     fmt = IqFormat(args.format)
     stream = iq.read_iq(args.input, fmt, args.rate)
+    band = stream.check_band(args.band) if args.band else None
     result = pipeline.run_cancel(
         stream,
         config,
@@ -209,8 +203,8 @@ def cmd_cancel(args) -> int:
     if args.out_tracks:
         synthesis.write_tracks_csv(
             [trk for tracks in result.tracks_per_pass for trk in tracks], args.out_tracks)
-    if args.band:
-        report = metrics.suppression_report(stream, result.residual, tuple(args.band))
+    if band:
+        report = metrics.suppression_report(stream, result.residual, band)
         print(metrics.format_report(report))
         if args.report:
             metrics.write_report_csv(report, args.report)

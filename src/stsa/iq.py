@@ -50,8 +50,8 @@ class SampleStream:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise ValueError(f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}")
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         if samples.size and not (
@@ -67,6 +67,14 @@ class SampleStream:
     @property
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate_hz
+
+    def check_band(self, band_hz) -> tuple[float, float]:
+        """band_hz as (lo, hi), if -nyq <= lo < hi <= nyq for the Nyquist frequency nyq = Fs/2."""
+        lo, hi = band_hz
+        nyq = self.sample_rate_hz / 2
+        if not -nyq <= lo < hi <= nyq:
+            raise ValueError(f"band ({lo}, {hi}) is not increasing inside the Nyquist span ±{nyq}")
+        return lo, hi
 
     def power(self) -> float:
         """Mean squared magnitude."""
@@ -105,7 +113,7 @@ def decode_iq(data: bytes, fmt: IqFormat, sample_rate_hz: float, t0_s: float = 0
     return SampleStream(raw.view(np.complex128), sample_rate_hz, t0_s)
 
 
-def read_iq(path, fmt: IqFormat, sample_rate_hz: float, t0_s: float = 0.0) -> SampleStream:
+def read_iq(path, fmt: IqFormat, sample_rate_hz: float) -> SampleStream:
     """Read an interleaved IQ file.
 
     Raises ValueError (naming the byte offset) if the file does not hold a
@@ -113,7 +121,7 @@ def read_iq(path, fmt: IqFormat, sample_rate_hz: float, t0_s: float = 0.0) -> Sa
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    return decode_iq(data, fmt, sample_rate_hz, t0_s)
+    return decode_iq(data, fmt, sample_rate_hz)
 
 
 def write_iq(stream: SampleStream, path, fmt: IqFormat) -> None:

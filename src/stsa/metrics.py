@@ -16,6 +16,11 @@ import numpy as np
 
 from .iq import SampleStream
 
+DEFAULT_RESOLUTION_HZ = 125.0
+SPECTRUM_CSV_HEADER = "freq_hz,power"
+REPORT_CSV_HEADER = ("band_lo_hz,band_hi_hz,power_before,power_after,"
+                     "suppression_db,out_of_band_delta_db,snr_in_band_db")
+
 
 @dataclass(frozen=True)
 class SpectrumFrame:
@@ -49,10 +54,9 @@ class SuppressionReport:
 
 
 def _segment_length(sample_rate_hz: float, resolution_hz: float) -> int:
-    if resolution_hz <= 0:
-        raise ValueError("resolution_hz must be positive")
-    seg = int(round(sample_rate_hz / resolution_hz))
-    return max(seg, 1)
+    if not 0 < resolution_hz < math.inf:
+        raise ValueError(f"resolution_hz must be positive and finite, got {resolution_hz}")
+    return max(int(round(sample_rate_hz / resolution_hz)), 1)
 
 
 def _averaged_psd(segments: np.ndarray, sample_rate_hz: float) -> np.ndarray:
@@ -79,6 +83,8 @@ def power_spectrum(stream: SampleStream, resolution_hz: float) -> SpectrumFrame:
 def dynamic_spectrum(stream: SampleStream, t_res_s: float, f_res_hz: float) -> DynamicSpectrum:
     """Tile the stream into time cells and average a spectrum inside each."""
     seg_len = _segment_length(stream.sample_rate_hz, f_res_hz)
+    if not 0 < t_res_s < math.inf:
+        raise ValueError(f"t_res_s must be positive and finite, got {t_res_s}")
     cell = int(round(t_res_s * stream.sample_rate_hz))
     if cell < seg_len:
         raise ValueError(
@@ -114,10 +120,7 @@ def band_power(stream: SampleStream, band_hz: tuple[float, float],
     With resolution_hz None a single full-length periodogram is used, which
     keeps Parseval exact over the whole stream.
     """
-    lo, hi = band_hz
-    nyq = stream.sample_rate_hz / 2
-    if not (-nyq <= lo < hi <= nyq):
-        raise ValueError(f"band ({lo}, {hi}) outside Nyquist span ±{nyq}")
+    stream.check_band(band_hz)
     if resolution_hz is None:
         resolution_hz = stream.sample_rate_hz / len(stream)
     return frame_band_power(power_spectrum(stream, resolution_hz), band_hz)
@@ -140,7 +143,7 @@ def suppression_report(
     residual: SampleStream,
     band_hz: tuple[float, float],
     noise_power_in_band: float | None = None,
-    resolution_hz: float = 125.0,
+    resolution_hz: float = DEFAULT_RESOLUTION_HZ,
 ) -> SuppressionReport:
     """Before/after band powers plus an out-of-band distortion check.
 
@@ -149,6 +152,7 @@ def suppression_report(
     in-band noise power is supplied, the pre-cancellation in-band SNR is
     reported (the ideal suppression ceiling).
     """
+    lo, hi = original.check_band(band_hz)
     if len(original) != len(residual):
         raise ValueError("original and residual must have equal length")
     frame_before = power_spectrum(original, resolution_hz)
@@ -157,7 +161,6 @@ def suppression_report(
     after = frame_band_power(frame_after, band_hz)
     suppression = _log_ratio_db(before, after)
 
-    lo, hi = band_hz
     guard = frame_before.resolution_hz
     out_mask = (frame_before.freqs_hz < lo - guard) | (frame_before.freqs_hz > hi + guard)
     out_before = float(np.sum(frame_before.power[out_mask]) * frame_before.resolution_hz)
@@ -195,10 +198,7 @@ def format_report(report: SuppressionReport) -> str:
 
 def write_report_csv(report: SuppressionReport, path) -> None:
     with open(path, "w") as fh:
-        fh.write(
-            "band_lo_hz,band_hi_hz,power_before,power_after,"
-            "suppression_db,out_of_band_delta_db,snr_in_band_db\n"
-        )
+        fh.write(REPORT_CSV_HEADER + "\n")
         snr = "" if report.snr_in_band_db is None else f"{report.snr_in_band_db:.6f}"
         fh.write(
             f"{report.band_hz[0]:.6f},{report.band_hz[1]:.6f},"
@@ -209,7 +209,7 @@ def write_report_csv(report: SuppressionReport, path) -> None:
 
 def write_spectrum_csv(frame: SpectrumFrame, path) -> None:
     with open(path, "w") as fh:
-        fh.write("freq_hz,power\n")
+        fh.write(SPECTRUM_CSV_HEADER + "\n")
         for f, p in zip(frame.freqs_hz, frame.power):
             fh.write(f"{f:.6f},{p:.9g}\n")
 

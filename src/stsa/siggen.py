@@ -20,6 +20,8 @@ import numpy as np
 
 from .iq import SampleStream
 
+TRUTH_CSV_HEADER = "sample_index,f_inst_hz,amplitude"
+
 
 @dataclass(frozen=True)
 class TruthRecord:
@@ -221,6 +223,8 @@ def gen_am(
         raise ValueError("mod_index must lie in [0, 1]")
     if a0 < 0:
         raise ValueError("a0 must be nonnegative")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     _check_nyquist(abs(carrier_offset_hz) + mod_freq_hz, sample_rate_hz, "AM sideband")
     t = np.arange(n) / sample_rate_hz
     envelope = a0 * (1.0 + mod_index * np.cos(2.0 * np.pi * mod_freq_hz * t))
@@ -261,10 +265,7 @@ def add_awgn(
         return stream
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
-    lo, hi = signal_band_hz
-    nyq = stream.sample_rate_hz / 2
-    if not (-nyq <= lo < hi <= nyq):
-        raise ValueError(f"signal band ({lo}, {hi}) outside Nyquist span ±{nyq}")
+    lo, hi = stream.check_band(signal_band_hz)
     if not len(stream):
         raise ValueError("cannot add noise to an empty stream")
     p_sig = stream.power()
@@ -279,8 +280,8 @@ def add_awgn(
 
 
 def write_truth_csv(truth: TruthRecord, path) -> None:
-    """Sidecar truth table: sample_index, f_inst_hz, amplitude."""
+    """Sidecar truth table with TRUTH_CSV_HEADER's columns, one row per sample."""
     f, a = truth.f_inst_hz.tolist(), truth.amplitude.tolist()
     with open(path, "w") as fh:
-        fh.write("sample_index,f_inst_hz,amplitude\n")
+        fh.write(TRUTH_CSV_HEADER + "\n")
         fh.writelines(map("%d,%.6f,%.9g\n".__mod__, zip(range(len(f)), f, a)))

@@ -20,6 +20,7 @@ from .blockproc import Estimates, StsaConfig
 from .iq import SampleStream
 
 DEFAULT_JUMP_LIMIT_BINS = 0.5
+TRACKS_CSV_HEADER = "signal_id,block_index,t_center_s,peel_rank,amp,freq_hz,phase_rad"
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +194,9 @@ def cancel(original: SampleStream, synthesized: SynthesizedWaveform) -> SampleSt
 
 
 def write_tracks_csv(tracks: list[Track], path) -> None:
-    """Per-entry table: signal_id, block_index, t_center_s, peel_rank, amp, freq_hz, phase_rad."""
+    """Per-entry table with TRACKS_CSV_HEADER's columns."""
     with open(path, "w") as fh:
-        fh.write("signal_id,block_index,t_center_s,peel_rank,amp,freq_hz,phase_rad\n")
+        fh.write(TRACKS_CSV_HEADER + "\n")
         for trk in tracks:
             columns = (trk.block_index, trk.t_center_s, trk.peel_rank, trk.amp, trk.freq_hz,
                        trk.phase_rad)

@@ -139,9 +139,7 @@ def reference_estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_i
     n = config.block_len_n
     w = window_values(config.window, n)
     w_mean = _window_mean(config.window, n)
-    offsets_hz, bank = _correlation_bank(
-        n, sample_rate_hz, config.fine_grid_fraction, config.fine_search_span_bins
-    )
+    offsets_hz, bank = _correlation_bank(n, sample_rate_hz, config.fine_grid_fraction)
     residual, exps = _normalize(blocks)  # outputs are scaled back by 2**exps
     floors = np.zeros(len(residual))
     active = np.arange(len(residual))

@@ -1,5 +1,6 @@
 """Per-block estimator tests: detection, refinement, correlation, peel loop."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from stsa.blockproc import (
     StsaConfig,
+    _correlation_bank,
     apply_window,
     detect_peak,
     estimate_amp_phase,
@@ -58,12 +60,19 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("detect_threshold_db", float("nan")), ("detect_threshold_db", float("inf")),
-        ("detect_threshold_db", float("-inf")), ("fine_search_span_bins", float("nan")),
-        ("fine_search_span_bins", float("inf")), ("fine_search_span_bins", 0.0),
+        ("detect_threshold_db", float("-inf")),
     ])
     def test_non_finite_or_non_positive_setting_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             StsaConfig(**{field: value})
+
+    def test_fine_search_span_is_one_bin_and_not_a_field(self):
+        assert StsaConfig.fine_search_span_bins == StsaConfig().fine_search_span_bins == 1.0
+        assert "fine_search_span_bins" not in {f.name for f in dataclasses.fields(StsaConfig)}
+        with pytest.raises(TypeError):
+            StsaConfig(fine_search_span_bins=2.0)
+        offsets_hz, _ = _correlation_bank(256, RATE, 0.01)
+        assert offsets_hz.max() == -offsets_hz.min() == RATE / 256
 
     def test_half_overlap_hop(self):
         assert StsaConfig(overlap="half").hop == 128
@@ -103,6 +112,10 @@ class TestWindows:
         # the peak sits mid-array; with even N the two center samples straddle it
         assert w.max() == 1.0 - 1.0 / 1023
         assert window_values("triangular", 1025).max() == 1.0
+
+    def test_unknown_window_rejected(self):
+        with pytest.raises(ValueError, match="window must be one of"):
+            window_values("blackman", 64)
 
 
 class TestDetectPeak:

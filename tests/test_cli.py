@@ -1,11 +1,13 @@
 """End-to-end CLI tests: generate, cancel, analyze, exit codes, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stsa import run_cancel
+from stsa import metrics, pipeline, run_cancel, siggen, synthesis
 from stsa.blockproc import StsaConfig
-from stsa.cli import main
+from stsa.cli import build_parser, entry, main
 from stsa.iq import IqFormat, SampleStream, read_iq, write_iq
 
 RATE = "2048000"
@@ -242,8 +244,7 @@ class TestCancel:
 
     @pytest.mark.parametrize("setting,field", [
         ("--threshold-db=nan", "detect_threshold_db"), ("--threshold-db=inf", "detect_threshold_db"),
-        ("--threshold-db=-inf", "detect_threshold_db"), ("--span-bins=inf", "fine_search_span_bins"),
-        ("--span-bins=nan", "fine_search_span_bins"),
+        ("--threshold-db=-inf", "detect_threshold_db"),
     ])
     def test_non_finite_estimator_setting_is_parameter_error(self, tmp_path, capsys, setting,
                                                               field):
@@ -331,3 +332,182 @@ class TestAnalyze:
             "analyze", "--spectrum", "--res", "125", "--in", str(src), "--rate", RATE,
         ])
         assert code == 2
+
+
+class TestLibraryOwnsSettings:
+    """The CLI reads its estimator defaults, choices and CSV layouts from the library."""
+
+    def cancel_config(self, tmp_path, monkeypatch, flags):
+        src = tmp_path / "in.iq"
+        write_iq(SampleStream(np.zeros(1024, complex), 2048000.0), src, IqFormat.FLOAT32)
+        configs = []
+        real_run_cancel = pipeline.run_cancel
+
+        def capture(stream, config, **kwargs):
+            configs.append(config)
+            return real_run_cancel(stream, config, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_cancel", capture)
+        assert run(["cancel", "--in", str(src), "--rate", RATE, *flags,
+                    "--out-residual", str(tmp_path / "resid.iq")]) == 0
+        return configs
+
+    def test_cancel_defaults_are_the_config_defaults(self, tmp_path, monkeypatch):
+        assert self.cancel_config(tmp_path, monkeypatch, []) == [StsaConfig()]
+
+    def test_each_flag_sets_its_field(self, tmp_path, monkeypatch):
+        flags = ["--n", "128", "--window", "hamming", "--threshold-db", "12.5",
+                 "--grid-frac", "0.02", "--max-peel", "3", "--overlap", "half"]
+        assert self.cancel_config(tmp_path, monkeypatch, flags) == [
+            StsaConfig(block_len_n=128, window="hamming", detect_threshold_db=12.5,
+                       fine_grid_fraction=0.02, max_peel=3, overlap="half")]
+
+    def test_every_config_field_is_a_cancel_dest(self):
+        args = build_parser().parse_args(["cancel", "--in", "x", "--rate", RATE,
+                                          "--out-residual", "y"])
+        assert {f.name for f in dataclasses.fields(StsaConfig)} <= set(vars(args))
+
+    @pytest.mark.parametrize("command,headers", [
+        ("generate", [siggen.TRUTH_CSV_HEADER]),
+        ("cancel", [synthesis.TRACKS_CSV_HEADER, metrics.REPORT_CSV_HEADER]),
+        ("analyze", [metrics.SPECTRUM_CSV_HEADER, metrics.REPORT_CSV_HEADER]),
+    ])
+    def test_help_lists_each_written_csv_header(self, capsys, command, headers):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(f"  {header}" in lines for header in headers)
+
+    def test_span_bins_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["cancel", "--in", "x", "--rate", RATE, "--span-bins", "1",
+                 "--out-residual", str(tmp_path / "r.iq")])
+        assert exc.value.code == 2
+
+
+class TestParameterErrors:
+    """Each bad setting exits 2 with `error:` before any output file is written."""
+
+    def expect_error(self, capsys, argv, message, outputs=()):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not any(p.exists() for p in outputs)
+
+    @staticmethod
+    def band_message(band):
+        lo, hi = map(float, band)
+        return f"band ({lo}, {hi}) is not increasing inside the Nyquist span ±1024000.0"
+
+    def tone_file(self, tmp_path, n=16384):
+        src = tmp_path / "tone.iq"
+        write_iq(siggen.gen_tone(1.0, 100000.0, 0.0, n, 2048000.0)[0], src, IqFormat.FLOAT32)
+        return src
+
+    @pytest.mark.parametrize("band", [("5000", "-5000"), ("nan", "nan"), ("2000000", "3000000")])
+    def test_cancel_band_checked_before_any_output(self, tmp_path, capsys, band):
+        src = self.tone_file(tmp_path, n=2560)
+        outputs = [tmp_path / "r.iq", tmp_path / "t.csv", tmp_path / "rep.csv"]
+        self.expect_error(capsys, [
+            "cancel", "--in", str(src), "--rate", RATE, "--band", *band,
+            "--out-residual", str(outputs[0]), "--out-tracks", str(outputs[1]),
+            "--report", str(outputs[2])], self.band_message(band), outputs)
+
+    @pytest.mark.parametrize("band", [("nan", "1"), ("5000", "-5000"), ("2000000", "3000000")])
+    def test_analyze_suppression_band_checked(self, tmp_path, capsys, band):
+        src = self.tone_file(tmp_path)
+        out = tmp_path / "rep.csv"
+        self.expect_error(capsys, [
+            "analyze", "--suppression", "--before", str(src), "--after", str(src),
+            "--band", *band, "--rate", RATE, "--out", str(out)], self.band_message(band), [out])
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0"])
+    def test_cancel_rate_must_be_positive_and_finite(self, tmp_path, capsys, rate):
+        src = self.tone_file(tmp_path, n=2560)
+        resid = tmp_path / "r.iq"
+        self.expect_error(capsys, [
+            "cancel", "--in", str(src), "--rate", rate, "--out-residual", str(resid)],
+            "sample_rate_hz must be positive and finite", [resid])
+
+    @pytest.mark.parametrize("length", [["--dur", "inf"], ["--dur", "nan"], ["--dur", "-1"],
+                                        ["--dur", "1", "--rate", "inf"]])
+    def test_generate_duration_must_give_a_sample_count(self, tmp_path, capsys, length):
+        out = tmp_path / "x.iq"
+        self.expect_error(capsys, ["generate", "--tone", "--rate", RATE, *length,
+                                   "--out", str(out)], "--dur ", [out])
+
+    @pytest.mark.parametrize("kind", ["--am", "--tone"])
+    def test_generate_negative_sample_count(self, tmp_path, capsys, kind):
+        out = tmp_path / "x.iq"
+        self.expect_error(capsys, ["generate", kind, "--rate", RATE, "--n", "-5",
+                                   "--out", str(out)], "n must be nonnegative", [out])
+
+    @pytest.mark.parametrize("what,flag,value,message", [
+        ("--waterfall", "--tres", "inf", "t_res_s must be positive and finite"),
+        ("--waterfall", "--tres", "nan", "t_res_s must be positive and finite"),
+        ("--waterfall", "--fres", "nan", "resolution_hz must be positive and finite"),
+        ("--spectrum", "--res", "nan", "resolution_hz must be positive and finite"),
+        ("--spectrum", "--res", "inf", "resolution_hz must be positive and finite"),
+    ])
+    def test_analyze_resolution_must_be_positive_and_finite(self, tmp_path, capsys, what, flag,
+                                                            value, message):
+        src = self.tone_file(tmp_path)
+        out = tmp_path / "a.csv"
+        self.expect_error(capsys, ["analyze", what, flag, value, "--in", str(src),
+                                   "--rate", RATE, "--out", str(out)], message, [out])
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--suppression", "--band", "1", "2"],
+         "--suppression needs --before, --after, and --band"),
+        (["--spectrum"], "--in is required for --spectrum/--waterfall"),
+    ])
+    def test_analyze_missing_inputs(self, capsys, argv, message):
+        self.expect_error(capsys, ["analyze", *argv, "--rate", RATE], message)
+
+    def test_entry_exits_with_the_code(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["stsa", "analyze", "--spectrum", "--rate", RATE])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: --in is required")
+
+    def test_waterfall_without_out(self, tmp_path, capsys):
+        src = self.tone_file(tmp_path)
+        self.expect_error(capsys, ["analyze", "--waterfall", "--in", str(src), "--rate", RATE],
+                          "--waterfall needs --out")
+
+
+class TestOutputsMatchLibrary:
+    RATE_HZ = 2048000.0
+
+    @pytest.mark.parametrize("flags,build", [
+        (["--am", "--freq", "20000", "--amp", "0.8", "--mod-index", "0.7", "--mod-freq", "500",
+          "--n", "5000"],
+         lambda rate: siggen.gen_am(20000.0, 0.8, 0.7, 500.0, 5000, rate)),
+        (["--nbfm", "--offset", "2000", "--mod-tone", "1000:0.5", "--mod-tone", "2500:0.25",
+          "--dur", "0.01"],
+         lambda rate: siggen.gen_nbfm(siggen.NbfmSpec(
+             2000.0, 4000.0, 20480 / rate, mod_tones=((1000.0, 0.5), (2500.0, 0.25))), rate)),
+    ])
+    def test_generate_writes_the_library_signal(self, tmp_path, flags, build):
+        out = tmp_path / "cli.iq"
+        assert run(["generate", *flags, "--rate", RATE, "--out", str(out)]) == 0
+        stream, truth = build(self.RATE_HZ)
+        write_iq(stream, tmp_path / "lib.iq", IqFormat.FLOAT32)
+        siggen.write_truth_csv(truth, tmp_path / "lib.csv")
+        assert out.read_bytes() == (tmp_path / "lib.iq").read_bytes()
+        assert (tmp_path / "cli.iq.truth.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    def test_analyze_suppression_out_writes_the_library_report(self, tmp_path):
+        src, resid = tmp_path / "src.iq", tmp_path / "resid.iq"
+        stream, _ = siggen.gen_tone(1.0, 100000.0, 0.3, 65536, self.RATE_HZ)
+        write_iq(stream, src, IqFormat.FLOAT32)
+        assert run(["cancel", "--in", str(src), "--rate", RATE, "--out-residual", str(resid)]) == 0
+        out = tmp_path / "cli.csv"
+        assert run(["analyze", "--suppression", "--before", str(src), "--after", str(resid),
+                    "--band", "90000", "110000", "--rate", RATE, "--out", str(out)]) == 0
+        report = metrics.suppression_report(read_iq(src, IqFormat.FLOAT32, self.RATE_HZ),
+                                            read_iq(resid, IqFormat.FLOAT32, self.RATE_HZ),
+                                            (90000.0, 110000.0))
+        metrics.write_report_csv(report, tmp_path / "lib.csv")
+        assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()

@@ -173,3 +173,36 @@ def test_codec_matches_interleaved_copies(fmt, step):
         assert not np.any(np.signbit(parts) & (parts == 0.0))
         reference.real[reference.real == 0.0] = 0.0
         assert decoded.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_rate_must_be_positive_and_finite(rate):
+    with pytest.raises(ValueError, match=f"sample_rate_hz must be positive and finite, got {rate}"):
+        SampleStream(np.zeros(2, complex), rate)
+
+
+def test_samples_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        SampleStream(np.zeros((2, 2), complex), 1.0)
+
+
+@pytest.mark.parametrize("band", [
+    (5000.0, -5000.0), (1000.0, 1000.0), (np.nan, np.nan), (np.nan, 1.0), (-1.0, np.nan),
+    (2e6, 3e6), (-1024000.5, 0.0), (0.0, 1024000.5),
+])
+def test_check_band_rejects_bands_not_increasing_inside_nyquist(band):
+    stream = SampleStream(np.zeros(4, complex), 2048000.0)
+    with pytest.raises(ValueError, match=r"band \(.*\) is not increasing inside the Nyquist "
+                                         r"span ±1024000.0"):
+        stream.check_band(band)
+
+
+def test_check_band_accepts_the_whole_nyquist_span():
+    stream = SampleStream(np.zeros(4, complex), 2048000.0)
+    assert stream.check_band([-1024000.0, 1024000.0]) == (-1024000.0, 1024000.0)
+    assert stream.check_band((-1.0, 0.0)) == (-1.0, 0.0)
+
+
+def test_duration_and_empty_power():
+    assert SampleStream(np.ones(6, complex), 4.0).duration_s == 1.5
+    assert SampleStream(np.zeros(0, complex), 4.0).power() == 0.0

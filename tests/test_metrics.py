@@ -232,6 +232,60 @@ class TestCsvOutputs:
         write_report_csv(rep, path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
-        assert "suppression_db" in lines[0]
+        assert lines[0] == ("band_lo_hz,band_hi_hz,power_before,power_after,suppression_db,"
+                            "out_of_band_delta_db,snr_in_band_db")
         text = format_report(rep)
         assert "suppression_db: 0.00" in text
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("res", [0.0, -125.0, math.nan, math.inf])
+    def test_resolution_must_be_positive_and_finite(self, res):
+        stream, _ = gen_tone(1.0, 0.0, 0.0, 16384, RATE)
+        message = f"resolution_hz must be positive and finite, got {res}"
+        with pytest.raises(ValueError, match=message):
+            power_spectrum(stream, res)
+        with pytest.raises(ValueError, match="resolution_hz must be positive and finite"):
+            dynamic_spectrum(stream, 0.008, res)
+
+    @pytest.mark.parametrize("t_res", [0.0, -0.008, math.nan, math.inf])
+    def test_time_resolution_must_be_positive_and_finite(self, t_res):
+        stream, _ = gen_tone(1.0, 0.0, 0.0, 16384, RATE)
+        with pytest.raises(ValueError, match=f"t_res_s must be positive and finite, got {t_res}"):
+            dynamic_spectrum(stream, t_res, 125.0)
+
+    def test_stream_shorter_than_one_time_cell(self):
+        stream, _ = gen_tone(1.0, 0.0, 0.0, 16383, RATE)
+        with pytest.raises(ValueError, match="stream shorter than one time cell"):
+            dynamic_spectrum(stream, 0.008, 125.0)
+
+    def test_frame_band_power_rejects_inverted_band(self):
+        stream, _ = gen_tone(1.0, 0.0, 0.0, 4096, RATE)
+        frame = power_spectrum(stream, RATE / 1024)
+        with pytest.raises(ValueError, match=r"inverted band \(1000.0, -1000.0\)"):
+            frame_band_power(frame, (1000.0, -1000.0))
+
+    @pytest.mark.parametrize("band", [(5000.0, -5000.0), (math.nan, math.nan), (math.nan, 1.0),
+                                      (2e6, 3e6)])
+    def test_report_and_band_power_check_band_against_nyquist(self, band):
+        stream, _ = gen_tone(1.0, 0.0, 0.0, 16384, RATE)
+        with pytest.raises(ValueError, match="Nyquist span"):
+            suppression_report(stream, stream, band)
+        with pytest.raises(ValueError, match="Nyquist span"):
+            band_power(stream, band)
+
+
+def test_silent_streams_report_zero_db():
+    silent = SampleStream(np.zeros(16384, complex), RATE)
+    rep = suppression_report(silent, silent, (90000.0, 110000.0))
+    assert (rep.power_before, rep.power_after) == (0.0, 0.0)
+    assert (rep.suppression_db, rep.out_of_band_delta_db) == (0.0, 0.0)
+
+
+def test_report_text_and_csv_carry_the_snr(tmp_path):
+    stream, _ = gen_tone(1.0, 100000.0, 0.0, 16384, RATE)
+    rep = suppression_report(stream, stream, (90000.0, 110000.0),
+                             noise_power_in_band=stream.power() / 100.0)
+    assert format_report(rep).splitlines()[-1] == f"snr_in_band_db: {rep.snr_in_band_db:.2f}"
+    write_report_csv(rep, tmp_path / "rep.csv")
+    assert (tmp_path / "rep.csv").read_text().endswith(f",{rep.snr_in_band_db:.6f}\n")

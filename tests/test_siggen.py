@@ -292,3 +292,60 @@ def test_truth_csv_matches_savetxt(tmp_path, f_inst_hz, amplitude):
     write_truth_csv(truth, tmp_path / "fast.csv")
     savetxt_truth_csv(truth, tmp_path / "oracle.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("f_inst,amplitude,message", [
+        ([0.0, 0.0], [1.0], "f_inst_hz and amplitude must have equal length"),
+        ([0.0], [-0.5], "amplitude must be nonnegative"),
+        ([RATE / 2], [1.0], "instantaneous frequency exceeds Nyquist"),
+    ])
+    def test_truth_record(self, f_inst, amplitude, message):
+        with pytest.raises(ValueError, match=message):
+            TruthRecord(np.array(f_inst), np.array(amplitude), 0.0, RATE)
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"deviation_hz": -1.0}, "deviation_hz must be nonnegative"),
+        ({"duration_s": 0.0}, "duration_s must be positive"),
+        ({"amp": 0.0}, "amp must be positive"),
+        ({"mod_tones": ((1000.0, 0.5),), "mod_noise_bw_hz": 1000.0},
+         "choose tone modulation or noise modulation, not both"),
+        ({"mod_tones": ((1000.0, -0.1),)}, r"modulating tone amplitudes must lie in \[0, 1\]"),
+        ({"mod_tones": ((1000.0, 1.5),)}, r"modulating tone amplitudes must lie in \[0, 1\]"),
+        ({"mod_tones": ((1000.0, 0.6), (2000.0, 0.6))},
+         "modulating tone amplitudes must sum to at most 1"),
+        ({"mod_noise_bw_hz": 0.0}, "mod_noise_bw_hz must be positive"),
+        ({"mod_noise_bw_hz": 1000.0, "mod_noise_rms": 1.0}, r"mod_noise_rms must lie in \(0, 1\)"),
+        ({"mod_noise_bw_hz": 1000.0, "mod_noise_rms": 0.0}, r"mod_noise_rms must lie in \(0, 1\)"),
+    ])
+    def test_nbfm_spec(self, changes, message):
+        fields = {"carrier_offset_hz": 0.0, "deviation_hz": 4000.0, "duration_s": 0.01, **changes}
+        with pytest.raises(ValueError, match=message):
+            NbfmSpec(**fields)
+
+    def test_tone(self):
+        with pytest.raises(ValueError, match="amp must be nonnegative"):
+            gen_tone(-1.0, 0.0, 0.0, 8, RATE)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            gen_tone(1.0, 0.0, 0.0, -5, RATE)
+
+    def test_am(self):
+        with pytest.raises(ValueError, match="a0 must be nonnegative"):
+            gen_am(0.0, -1.0, 0.5, 100.0, 64, RATE)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            gen_am(0.0, 1.0, 0.5, 100.0, -5, RATE)
+
+    def test_mix(self):
+        with pytest.raises(ValueError, match="mix requires at least one stream"):
+            mix([])
+        with pytest.raises(ValueError, match="mix: start times differ"):
+            ones = np.ones(4, complex)
+            mix([SampleStream(ones, RATE), SampleStream(ones, RATE, 0.5)])
+
+    def test_awgn(self):
+        with pytest.raises(ValueError, match="cannot add noise to an empty stream"):
+            add_awgn(SampleStream(np.zeros(0, complex), RATE), 10.0, (-5000.0, 5000.0), 0)
+        s, _ = gen_tone(1.0, 0.0, 0.0, 64, RATE)
+        for band in [(5000.0, -5000.0), (np.nan, np.nan)]:
+            with pytest.raises(ValueError, match="Nyquist"):
+                add_awgn(s, 10.0, band, 0)
