@@ -40,8 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--tone", action="store_true", help="stationary complex tone")
     kind.add_argument("--nbfm", action="store_true", help="narrowband FM carrier")
     kind.add_argument("--am", action="store_true", help="AM carrier")
-    g.add_argument("--n", type=int, help="number of samples")
-    g.add_argument("--dur", type=float, help="duration in seconds (alternative to --n)")
+    size = g.add_mutually_exclusive_group(required=True)
+    size.add_argument("--n", type=int, help="number of samples")
+    size.add_argument("--dur", type=float, help="duration in seconds")
     g.add_argument("--freq", type=float, default=0.0, help="tone/AM carrier offset in Hz")
     g.add_argument("--offset", type=float, default=0.0, help="NBFM carrier offset in Hz")
     g.add_argument("--amp", type=float, default=1.0, help="carrier amplitude")
@@ -136,8 +137,6 @@ def _parse_mod_tones(values) -> tuple:
 
 
 def _sample_count(args) -> int:
-    if args.n is None and args.dur is None:
-        raise ValueError("one of --n or --dur is required")
     if args.n is not None:
         return args.n
     if not 0 <= args.dur * args.rate < math.inf:

@@ -83,20 +83,24 @@ class SampleStream:
         return float(np.mean(np.abs(self.samples) ** 2))
 
 
-def encode_iq(stream: SampleStream, fmt: IqFormat) -> bytes:
-    """Serialize a stream to interleaved bytes.
-
-    int8 components outside [-1, 1] are clipped; a warning reports how many.
-    """
+def _encode(stream: SampleStream, fmt: IqFormat) -> np.ndarray:
     interleaved = np.ascontiguousarray(stream.samples).view(np.float64)  # I0, Q0, I1, ...
     if fmt is IqFormat.FLOAT32:
-        return interleaved.astype("<f4").tobytes()
+        return interleaved.astype("<f4")
     scaled = interleaved * INT8_SCALE  # exact, so |scaled| > 128 iff |component| > 1
     n_clipped = int(np.count_nonzero(scaled > INT8_SCALE) + np.count_nonzero(scaled < -INT8_SCALE))
     if n_clipped:
         warnings.warn(f"int8 write clipped {n_clipped} out-of-range components")
     np.clip(np.round(scaled, out=scaled), -128, 127, out=scaled)
-    return scaled.astype(np.int8).tobytes()
+    return scaled.astype(np.int8)
+
+
+def encode_iq(stream: SampleStream, fmt: IqFormat) -> bytes:
+    """Serialize a stream to interleaved bytes.
+
+    int8 components outside [-1, 1] are clipped; a warning reports how many.
+    """
+    return _encode(stream, fmt).tobytes()
 
 
 def decode_iq(data: bytes, fmt: IqFormat, sample_rate_hz: float, t0_s: float = 0.0) -> SampleStream:
@@ -125,6 +129,6 @@ def read_iq(path, fmt: IqFormat, sample_rate_hz: float) -> SampleStream:
 
 
 def write_iq(stream: SampleStream, path, fmt: IqFormat) -> None:
-    """Write a stream to an interleaved IQ file decodable by :func:`read_iq`."""
+    """Write :func:`encode_iq`'s bytes to an IQ file decodable by :func:`read_iq`."""
     with open(path, "wb") as fh:
-        fh.write(encode_iq(stream, fmt))
+        fh.write(_encode(stream, fmt))  # the array's own buffer, not a bytes copy

@@ -56,14 +56,27 @@ class SuppressionReport:
 def _segment_length(sample_rate_hz: float, resolution_hz: float) -> int:
     if not 0 < resolution_hz < math.inf:
         raise ValueError(f"resolution_hz must be positive and finite, got {resolution_hz}")
-    return max(int(round(sample_rate_hz / resolution_hz)), 1)
+    samples = sample_rate_hz / resolution_hz
+    if samples == math.inf:
+        raise ValueError(f"resolution_hz {resolution_hz} is too fine at {sample_rate_hz} Hz: "
+                         "the segment length overflows")
+    return max(int(round(samples)), 1)
+
+
+# Samples per periodogram group: few enough that the FFT temporaries stay small.
+_GROUP_SAMPLES = 2**17
 
 
 def _averaged_psd(segments: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-    seg_len = segments.shape[-1]
-    spec = np.fft.fft(segments, axis=-1)
-    psd = np.mean(np.abs(spec) ** 2, axis=-2) / (seg_len * sample_rate_hz)
-    return np.fft.fftshift(psd, axes=-1)
+    """Mean periodogram over axis -2, summed one segment at a time in order, as np.mean sums."""
+    *lead, n_seg, seg_len = segments.shape
+    group = max(1, _GROUP_SAMPLES // (math.prod(lead) * seg_len))
+    total = np.zeros((*lead, seg_len))
+    for i in range(0, n_seg, group):
+        power = np.abs(np.fft.fft(segments[..., i : i + group, :], axis=-1)) ** 2
+        for k in range(power.shape[-2]):
+            total += power[..., k, :]
+    return np.fft.fftshift(total / n_seg / (seg_len * sample_rate_hz), axes=-1)
 
 
 def power_spectrum(stream: SampleStream, resolution_hz: float) -> SpectrumFrame:
@@ -85,7 +98,11 @@ def dynamic_spectrum(stream: SampleStream, t_res_s: float, f_res_hz: float) -> D
     seg_len = _segment_length(stream.sample_rate_hz, f_res_hz)
     if not 0 < t_res_s < math.inf:
         raise ValueError(f"t_res_s must be positive and finite, got {t_res_s}")
-    cell = int(round(t_res_s * stream.sample_rate_hz))
+    cell = t_res_s * stream.sample_rate_hz
+    if cell == math.inf:
+        raise ValueError(f"t_res_s {t_res_s} is too long at {stream.sample_rate_hz} Hz: "
+                         "the cell length overflows")
+    cell = int(round(cell))
     if cell < seg_len:
         raise ValueError(
             f"infeasible resolution pair: {t_res_s} s cells hold {cell} samples, "

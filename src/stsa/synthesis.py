@@ -11,6 +11,7 @@ subtracted sample-by-sample from the original stream.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -73,12 +74,16 @@ def assemble_tracks(
     Within a block, estimates are matched in peel order; each joins the open
     track whose last frequency is nearest, provided the jump stays under
     jump_limit_bins bins per elapsed block, otherwise it starts a new track.
-    A track accepts at most one estimate per block.
+    A track accepts at most one estimate per block.  Of the tracks at the
+    nearest distance, the one opened first wins.
     """
     if not jump_limit_bins > 0:
         raise ValueError(f"jump_limit_bins must be positive, got {jump_limit_bins!r}")
+    if not np.isfinite(estimates.freq_hz).all():
+        raise ValueError("estimate frequencies must be finite")
     bin_width = config.bin_width_hz(sample_rate_hz)
     members, ends = [], []  # per track: its rows, and the frequency and block it ends at
+    by_freq = []  # (end frequency, track) of every track, sorted
     current, taken = None, set()
     for row, (block, freq) in enumerate(zip(estimates.block_index.tolist(),
                                             estimates.freq_hz.tolist())):
@@ -86,26 +91,55 @@ def assemble_tracks(
             if current is not None and block < current:
                 raise ValueError("blocks must be supplied in increasing index order")
             current, taken = block, set()
-        best = None
-        best_dist = None
-        for ti, (track_freq, track_block) in enumerate(ends):
-            if ti in taken:
-                continue
-            limit = jump_limit_bins * bin_width * (block - track_block)
-            dist = abs(freq - track_freq)
-            if dist < limit and (best_dist is None or dist < best_dist):
+        best = best_dist = None
+        for dist, ti in _nearest_first(by_freq, freq):
+            if best is not None and dist != best_dist:
+                break
+            if (ti not in taken and dist < jump_limit_bins * bin_width * (block - ends[ti][1])
+                    and (best is None or ti < best)):
                 best, best_dist = ti, dist
-        if best is None:
+        if best is not None:
+            del by_freq[bisect_left(by_freq, (ends[best][0], best))]
+        else:
             best = len(members)
             members.append([])
             ends.append(None)
         members[best].append(row)
         ends[best] = freq, block
+        insort(by_freq, (freq, best))
         taken.add(best)
     columns = (estimates.block_index, estimates.peel_rank, estimates.amp, estimates.freq_hz,
                estimates.phase_rad, estimates.t_center_s)
     return [Track(signal_id, *(c[rows] for c in columns))
             for signal_id, rows in enumerate(members)]
+
+
+def _nearest_first(by_freq, freq):
+    """(distance, track) for the (frequency, track) pairs of sorted by_freq, nearest first.
+
+    Rounding is monotonic, so walking outward from freq on each side visits
+    abs(freq - f) in non-decreasing order.
+    """
+    hi = bisect_left(by_freq, (freq,))
+    lo = hi - 1
+    while lo >= 0 or hi < len(by_freq):
+        if hi == len(by_freq) or lo >= 0 and freq - by_freq[lo][0] <= by_freq[hi][0] - freq:
+            yield freq - by_freq[lo][0], by_freq[lo][1]
+            lo -= 1
+        else:
+            yield by_freq[hi][0] - freq, by_freq[hi][1]
+            hi += 1
+
+
+def _rows(rows: np.ndarray):
+    """Increasing row indices as a slice when they are consecutive, so numpy works in place."""
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return rows
+
+
+# Samples per synthesis pass: few enough that its tone temporaries stay in cache.
+_CHUNK_SAMPLES = 2**16
 
 
 def synthesize(
@@ -146,7 +180,7 @@ def synthesize(
     coarse = np.arange(-hop // s, (hop - 1) // s + 1)
     lo = -hop - s * coarse[0]  # column of offset -hop in the flattened table product
     coarse_dt, fine_dt = (delta + s * coarse) / sample_rate_hz, np.arange(s) / sample_rate_hz
-    chunk = max(1, 2**19 // hop)  # entries per pass: ~2**20 samples of temporaries
+    chunk = max(1, _CHUNK_SAMPLES // hop)  # entries per pass
 
     for track in tracks:
         if not len(track):
@@ -156,16 +190,23 @@ def synthesize(
             raise ValueError(f"block_index must be non-negative, got {blk[0]}")
         gap = np.diff(blk) > 1
         kind_l, kind_r = np.where(np.r_[True, gap], 0, 1), np.where(np.r_[gap, True], 3, 2)
+        tail = None  # the last right half so far, added after the next left halves
         for i in range(0, blk.size, chunk):
-            sl = slice(i, i + chunk)
+            sl, b = slice(i, i + chunk), blk[i : i + chunk]
             w = 2.0 * np.pi * freq[sl, None]
             tables = (amp[sl] * np.exp(1j * phase[sl]))[:, None] * np.exp(1j * (w * coarse_dt))
             tones = tables[:, :, None] * np.exp(1j * (w * fine_dt))[:, None, :]
             tones = tones.reshape(len(tables), -1)[:, lo : lo + 2 * hop]
-            frames[blk[sl]] += weights[kind_l[sl]] * tones[:, :hop]
-            frames[blk[sl] + 1] += weights[kind_r[sl]] * tones[:, hop:]
-            covered[blk[sl]] |= covers[kind_l[sl]]
-            covered[blk[sl] + 1] |= covers[kind_r[sl]]
+            # each row gets its own block's left half, then the previous block's right half
+            frames[_rows(b)] += weights[kind_l[sl]] * tones[:, :hop]
+            right = weights[kind_r[sl]] * tones[:, hop:]
+            if tail is not None:
+                frames[tail[0]] += tail[1]
+            frames[_rows(b[:-1] + 1)] += right[:-1]
+            tail = b[-1] + 1, right[-1]
+            covered[_rows(b)] |= covers[kind_l[sl]]
+            covered[_rows(b + 1)] |= covers[kind_r[sl]]
+        frames[tail[0]] += tail[1]
 
     view = slice(hop - ic0, hop - ic0 + length)
     return SynthesizedWaveform(frames.reshape(-1)[view], covered.reshape(-1)[view])

@@ -106,9 +106,18 @@ class TestGenerate:
         assert exc.value.code == 2
 
     def test_missing_length_is_parameter_error(self, tmp_path, capsys):
-        code = run(["generate", "--tone", "--rate", RATE, "--out", str(tmp_path / "x.iq")])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "--tone", "--rate", RATE, "--out", str(tmp_path / "x.iq")])
+        assert exc.value.code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_n_and_dur_together_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.iq"
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "--tone", "--rate", RATE, "--n", "16", "--dur", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --dur: not allowed with argument --n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_snr_without_band_rejected_for_tone(self, tmp_path, capsys):
         code = run([
@@ -443,6 +452,9 @@ class TestParameterErrors:
                                    "--out", str(out)], "n must be nonnegative", [out])
 
     @pytest.mark.parametrize("what,flag,value,message", [
+        ("--spectrum", "--res", "1e-320", "resolution_hz 1e-320 is too fine"),
+        ("--waterfall", "--fres", "1e-320", "resolution_hz 1e-320 is too fine"),
+        ("--waterfall", "--tres", "1e303", "t_res_s 1e+303 is too long"),
         ("--waterfall", "--tres", "inf", "t_res_s must be positive and finite"),
         ("--waterfall", "--tres", "nan", "t_res_s must be positive and finite"),
         ("--waterfall", "--fres", "nan", "resolution_hz must be positive and finite"),

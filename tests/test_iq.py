@@ -175,6 +175,22 @@ def test_codec_matches_interleaved_copies(fmt, step):
         assert decoded.tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize("fmt", list(IqFormat))
+@pytest.mark.parametrize("step", [1, 3])
+def test_write_iq_writes_the_encoded_bytes(tmp_path, fmt, step):
+    stream = SampleStream(_codec_inputs()[::step], 1.0)
+    written, encoded = [], []
+    for record, run in ((written, lambda: write_iq(stream, tmp_path / "x.iq", fmt)),
+                        (encoded, lambda: encode_iq(stream, fmt))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            record.append(run())
+        record.append([str(w.message) for w in caught])
+    assert (tmp_path / "x.iq").read_bytes() == encoded[0]
+    assert written[1] == encoded[1]
+    assert len(written[1]) == (fmt is IqFormat.INT8)  # an int8 clip warns exactly once
+
+
 @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf, -np.inf])
 def test_rate_must_be_positive_and_finite(rate):
     with pytest.raises(ValueError, match=f"sample_rate_hz must be positive and finite, got {rate}"):

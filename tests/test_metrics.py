@@ -1,10 +1,12 @@
 """Spectrum, waterfall, band power, and suppression-report tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from stsa import metrics
 from stsa.iq import SampleStream
 from stsa.metrics import (
     band_power,
@@ -248,6 +250,21 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="resolution_hz must be positive and finite"):
             dynamic_spectrum(stream, 0.008, res)
 
+    @pytest.mark.parametrize("res", [1e-320, 5e-324])
+    def test_resolution_too_fine_to_count_rejected(self, res):
+        stream, _ = gen_tone(1.0, 0.0, 0.0, 16384, RATE)
+        message = re.escape(f"resolution_hz {res} is too fine at {RATE} Hz")
+        with pytest.raises(ValueError, match=message):
+            power_spectrum(stream, res)
+        with pytest.raises(ValueError, match=message):
+            dynamic_spectrum(stream, 0.008, res)
+
+    @pytest.mark.parametrize("t_res", [1e303, 1.7e308])
+    def test_time_resolution_too_long_to_count_rejected(self, t_res):
+        stream, _ = gen_tone(1.0, 0.0, 0.0, 16384, RATE)
+        with pytest.raises(ValueError, match=re.escape(f"t_res_s {t_res} is too long at {RATE} Hz")):
+            dynamic_spectrum(stream, t_res, 125.0)
+
     @pytest.mark.parametrize("t_res", [0.0, -0.008, math.nan, math.inf])
     def test_time_resolution_must_be_positive_and_finite(self, t_res):
         stream, _ = gen_tone(1.0, 0.0, 0.0, 16384, RATE)
@@ -289,3 +306,26 @@ def test_report_text_and_csv_carry_the_snr(tmp_path):
     assert format_report(rep).splitlines()[-1] == f"snr_in_band_db: {rep.snr_in_band_db:.2f}"
     write_report_csv(rep, tmp_path / "rep.csv")
     assert (tmp_path / "rep.csv").read_text().endswith(f",{rep.snr_in_band_db:.6f}\n")
+
+
+def mean_of_periodograms(segments, sample_rate_hz):
+    """The one-call formula _averaged_psd replaced: np.mean over the segment axis."""
+    seg_len = segments.shape[-1]
+    psd = np.mean(np.abs(np.fft.fft(segments, axis=-1)) ** 2, axis=-2) / (seg_len * sample_rate_hz)
+    return np.fft.fftshift(psd, axes=-1)
+
+
+@pytest.mark.parametrize("group_samples,shape", [
+    # 32 samples hold 4 segments of 8: counts below, at, a multiple of and not a multiple of 4
+    (32, (1, 8)), (32, (3, 8)), (32, (4, 8)), (32, (12, 8)), (32, (10, 8)),
+    # with leading rows the group shrinks to 2 segments, then to 1
+    (32, (2, 1, 8)), (32, (2, 2, 8)), (32, (2, 5, 8)), (32, (5, 7, 8)),
+    (2**17, (37, 3, 1000)), (2**17, (4, 129, 512)), (2**17, (300, 2048)), (2**17, (1, 16384)),
+    (2**17, (9, 7)),
+])
+def test_averaged_psd_sums_segments_in_order(monkeypatch, group_samples, shape):
+    monkeypatch.setattr(metrics, "_GROUP_SAMPLES", group_samples)
+    rng = np.random.default_rng(sum(shape))
+    segments = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = metrics._averaged_psd(segments, RATE)
+    assert got.tobytes() == mean_of_periodograms(segments, RATE).tobytes()

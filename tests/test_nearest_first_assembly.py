@@ -1,0 +1,111 @@
+"""Nearest-first track assembly against the all-pairs loop it replaced.
+
+all_pairs_assemble is the earlier assembler: each estimate is compared with
+every track opened so far, and the smallest distance under the jump limit
+wins, the lowest track index on a tie.  assemble_tracks walks the open tracks
+outward from the estimate's frequency instead, and must give the same tracks.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stsa.blockproc import SinusoidEstimate, StsaConfig, process_stream
+from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm
+from stsa.synthesis import Track, assemble_tracks
+from table_helpers import estimates_table
+
+RATE = 2048000.0
+FM_CONFIG = StsaConfig(detect_threshold_db=9.0, max_peel=3)
+
+
+def all_pairs_assemble(estimates, config, sample_rate_hz, jump_limit_bins):
+    bin_width = config.bin_width_hz(sample_rate_hz)
+    members, ends = [], []  # per track: its rows, and the frequency and block it ends at
+    current, taken = None, set()
+    for row, (block, freq) in enumerate(zip(estimates.block_index.tolist(),
+                                            estimates.freq_hz.tolist())):
+        if block != current:
+            current, taken = block, set()
+        best = None
+        best_dist = None
+        for ti, (track_freq, track_block) in enumerate(ends):
+            if ti in taken:
+                continue
+            limit = jump_limit_bins * bin_width * (block - track_block)
+            dist = abs(freq - track_freq)
+            if dist < limit and (best_dist is None or dist < best_dist):
+                best, best_dist = ti, dist
+        if best is None:
+            best = len(members)
+            members.append([])
+            ends.append(None)
+        members[best].append(row)
+        ends[best] = freq, block
+        taken.add(best)
+    columns = (estimates.block_index, estimates.peel_rank, estimates.amp, estimates.freq_hz,
+               estimates.phase_rad, estimates.t_center_s)
+    return [Track(signal_id, *(c[rows] for c in columns))
+            for signal_id, rows in enumerate(members)]
+
+
+def assert_same_tracks(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.signal_id == b.signal_id
+        for name in ("block_index", "peel_rank", "amp", "freq_hz", "phase_rad", "t_center_s"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@pytest.fixture(scope="module")
+def fm_estimates():
+    spec = NbfmSpec(carrier_offset_hz=0.0, deviation_hz=4000.0, duration_s=1.0,
+                    mod_noise_bw_hz=1000.0, mod_noise_seed=7, mod_noise_rms=0.9)
+    clean, _ = gen_nbfm(spec, RATE)
+    return process_stream(add_awgn(clean, 34.0, spec.carson_band_hz(), 99), FM_CONFIG)
+
+
+@pytest.mark.parametrize("jump_limit_bins,n_tracks", [(0.5, 43), (0.1, 97), (0.02, 205)])
+def test_fm_scenario_matches_all_pairs(fm_estimates, jump_limit_bins, n_tracks):
+    got = assemble_tracks(fm_estimates, FM_CONFIG, RATE, jump_limit_bins)
+    assert len(got) == n_tracks
+    assert_same_tracks(got, all_pairs_assemble(fm_estimates, FM_CONFIG, RATE, jump_limit_bins))
+
+
+@st.composite
+def small_tables(draw):
+    """Several estimates per block on a coarse frequency grid, so frequencies repeat,
+    open tracks sit at equal distances on both sides, and blocks are skipped."""
+    base = draw(st.sampled_from([0.0, 100000.3, -7.7e5]))
+    step = draw(st.sampled_from([1000.0, 2500.0, 0.1]))
+    rows = []
+    for block in range(draw(st.integers(1, 10))):
+        for rank in range(draw(st.integers(0, 4))):
+            freq = base + step * draw(st.integers(-6, 6))
+            rows.append(SinusoidEstimate(1.0, freq, 0.0, block, 0.0, rank))
+    return estimates_table(rows), draw(st.sampled_from([0.02, 0.1, 0.25, 0.5, 1.0, 3.0]))
+
+
+@settings(max_examples=400)
+@given(small_tables())
+def test_small_tables_match_all_pairs(case):
+    table, jump_limit_bins = case
+    config = StsaConfig()  # 8 kHz bins at RATE
+    assert_same_tracks(assemble_tracks(table, config, RATE, jump_limit_bins),
+                       all_pairs_assemble(table, config, RATE, jump_limit_bins))
+
+
+def test_tie_goes_to_the_track_opened_first():
+    # tracks 0 and 1 end 1 kHz above and below the block-2 estimate; track 0 wins
+    rows = [SinusoidEstimate(1.0, f, 0.0, b, 0.0, r)
+            for b, r, f in [(0, 0, 11000.0), (0, 1, 9000.0), (2, 0, 10000.0)]]
+    tracks = assemble_tracks(estimates_table(rows), StsaConfig(), RATE)
+    assert [t.freq_hz.tolist() for t in tracks] == [[11000.0, 10000.0], [9000.0]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_frequency_rejected(bad):
+    rows = [SinusoidEstimate(1.0, 0.0, 0.0, 0, 0.0, 0), SinusoidEstimate(1.0, bad, 0.0, 1, 0.0, 0)]
+    with pytest.raises(ValueError, match="frequencies must be finite"):
+        assemble_tracks(estimates_table(rows), StsaConfig(), RATE)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stsa import synthesis
 from stsa.blockproc import SinusoidEstimate, StsaConfig, process_stream
 from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm, mix
 from stsa.synthesis import (
@@ -295,3 +296,28 @@ def test_negative_block_index_rejected():
     track = table_helpers.track((SinusoidEstimate(1.0, 0.0, 0.0, -1, 0.0, 0),), 0)
     with pytest.raises(ValueError, match="block_index must be non-negative"):
         synthesize([track], (64, RATE, 0.0), config)
+
+
+@pytest.mark.parametrize("n,overlap", [(16, "none"), (15, "none"), (16, "half")])
+def test_chunk_size_does_not_change_the_sum(monkeypatch, n, overlap):
+    """Every row sums its contributions in one order, whatever entries share a pass.
+
+    Track 0 covers every block, so each later track's chunk boundaries fall
+    on rows that already hold a value, where the order of two additions shows.
+    """
+    config = StsaConfig(block_len_n=n, overlap=overlap)
+    rng = np.random.default_rng(11)
+    spans = [range(0, 40), [*range(1, 17), *range(19, 38)], range(3, 40), range(0, 40, 2)]
+    tracks = [
+        table_helpers.track(tuple(
+            SinusoidEstimate(rng.uniform(0.1, 2.0), rng.uniform(-RATE / 4, RATE / 4),
+                             rng.uniform(-np.pi, np.pi), b, 0.0, 0) for b in blocks), i)
+        for i, blocks in enumerate(spans)]
+    meta = (39 * config.hop + n, RATE, 0.0)
+    monkeypatch.setattr(synthesis, "_CHUNK_SAMPLES", 2**30)  # one pass per track
+    want = synthesize(tracks, meta, config)
+    for entries in (1, 2, 3, 7, 16):
+        monkeypatch.setattr(synthesis, "_CHUNK_SAMPLES", entries * config.hop)
+        got = synthesize(tracks, meta, config)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert got.coverage.tobytes() == want.coverage.tobytes()
