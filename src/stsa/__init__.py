@@ -26,7 +26,6 @@ from .metrics import (
 from .pipeline import CancelResult, run_cancel
 from .siggen import NbfmSpec, TruthRecord, add_awgn, gen_am, gen_nbfm, gen_tone, mix
 from .synthesis import (
-    SynthesizedWaveform,
     Track,
     assemble_tracks,
     cancel,
@@ -48,7 +47,6 @@ __all__ = [
     "SpectrumFrame",
     "StsaConfig",
     "SuppressionReport",
-    "SynthesizedWaveform",
     "Track",
     "TruthRecord",
     "add_awgn",

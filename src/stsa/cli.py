@@ -186,6 +186,8 @@ def cmd_cancel(args) -> int:
     settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(StsaConfig)}
     config = StsaConfig(**{**settings, "window": WINDOW_FLAGS[args.window]})
     fmt = IqFormat(args.format)
+    if args.report and not args.band:
+        raise ValueError("--report needs --band")
     stream = iq.read_iq(args.input, fmt, args.rate)
     band = stream.check_band(args.band) if args.band else None
     result = pipeline.run_cancel(
@@ -228,17 +230,15 @@ def cmd_analyze(args) -> int:
         return 0
     if not args.input:
         raise ValueError("--in is required for --spectrum/--waterfall")
+    if not args.out:
+        raise ValueError(f"--{'spectrum' if args.spectrum else 'waterfall'} needs --out")
     stream = iq.read_iq(args.input, fmt, args.rate)
     if args.spectrum:
         frame = metrics.power_spectrum(stream, args.res)
-        if not args.out:
-            raise ValueError("--spectrum needs --out")
         metrics.write_spectrum_csv(frame, args.out)
         print(f"wrote {frame.freqs_hz.size}-bin spectrum to {args.out}")
     else:
         ds = metrics.dynamic_spectrum(stream, args.tres, args.fres)
-        if not args.out:
-            raise ValueError("--waterfall needs --out")
         metrics.write_dynamic_spectrum_csv(ds, args.out)
         print(f"wrote {ds.power.shape[0]}x{ds.power.shape[1]} waterfall to {args.out}")
     return 0

@@ -4,8 +4,9 @@ Per-block sinusoid estimates are chained into tracks by greedy
 nearest-frequency association.  All tracks are summed into one noise-free
 waveform: between the centers of adjacent blocks the two blocks' sinusoids
 are cross-faded linearly, which keeps the waveform continuous while leaving
-each block's own estimate exact at its center.  The rendered waveform is then
-subtracted sample-by-sample from the original stream.
+each block's own estimate exact at its center, and samples no estimate
+reaches stay exactly zero.  The rendered waveform is then subtracted
+sample-by-sample from the original stream.
 """
 
 from __future__ import annotations
@@ -49,18 +50,6 @@ class Track:
 
     def __len__(self) -> int:
         return self.block_index.size
-
-
-@dataclass
-class SynthesizedWaveform:
-    """Rendered waveform aligned to the original stream.
-
-    samples are zero wherever coverage is False, so cancellation is the
-    identity outside the rendered span.
-    """
-
-    samples: np.ndarray
-    coverage: np.ndarray
 
 
 def assemble_tracks(
@@ -146,19 +135,22 @@ def synthesize(
     tracks: list[Track],
     stream_meta: tuple[int, float, float],
     config: StsaConfig,
-) -> SynthesizedWaveform:
-    """Render every track, summed in list order, into one waveform on the stream's grid.
+) -> np.ndarray:
+    """Render every track, summed in list order, into one complex128 waveform
+    of the stream's length.
 
     Between the centers of estimates in adjacent blocks the two sinusoids are
     blended as (1-a)*x_i + a*x_j with a running 0 -> 1; the outer half-blocks
     of a run of adjacent estimates use the nearest estimate unblended.
-    Detection gaps wider than one block step are left at zero (coverage
-    False) rather than bridged.
+    Detection gaps wider than one block step are left at exact zeros rather
+    than bridged, as is every sample no block reaches.
 
     Row r of the frame grid holds samples [ic0 + (r-1)*hop, ic0 + r*hop),
     ic0 = ceil((N-1)/2), so block b's entry spans rows b and b+1.  Its tone
     there is the outer product of two short phasor tables, both exactly 1 at
     the block center, so a center on the sample grid is amp*exp(j*phase).
+    Each row adds block r-1's right half before block r's left half, so the
+    sum does not depend on where a pass ends.
     """
     length, sample_rate_hz, _t0 = stream_meta
     n = config.block_len_n
@@ -168,14 +160,11 @@ def synthesize(
     last = max((int(t.block_index[-1]) for t in tracks if len(t)), default=-1)
     rows = max(-(-(hop - ic0 + length) // hop), last + 2)
     frames = np.zeros((rows, hop), dtype=np.complex128)
-    covered = np.zeros((rows, hop), dtype=bool)
-    # weight and coverage rows: left half-block where a run begins, blend in
-    # from the previous center, blend out to the next, right half where it ends
+    # weight rows: left half-block where a run begins, blend in from the
+    # previous center, blend out to the next, right half where it ends
     m = np.arange(hop)
     alpha = (delta + m) / hop
-    left, right, full = m >= hop - ic0, m < n - ic0, np.ones(hop, dtype=bool)
-    weights = np.array([left, alpha, 1.0 - alpha, right], dtype=np.float64)
-    covers = np.array([left, full, full, right])
+    weights = np.array([m >= hop - ic0, alpha, 1.0 - alpha, m < n - ic0], dtype=np.float64)
     s = math.isqrt(2 * hop)
     coarse = np.arange(-hop // s, (hop - 1) // s + 1)
     lo = -hop - s * coarse[0]  # column of offset -hop in the flattened table product
@@ -190,48 +179,33 @@ def synthesize(
             raise ValueError(f"block_index must be non-negative, got {blk[0]}")
         gap = np.diff(blk) > 1
         kind_l, kind_r = np.where(np.r_[True, gap], 0, 1), np.where(np.r_[gap, True], 3, 2)
-        tail = None  # the last right half so far, added after the next left halves
         for i in range(0, blk.size, chunk):
             sl, b = slice(i, i + chunk), blk[i : i + chunk]
             w = 2.0 * np.pi * freq[sl, None]
             tables = (amp[sl] * np.exp(1j * phase[sl]))[:, None] * np.exp(1j * (w * coarse_dt))
             tones = tables[:, :, None] * np.exp(1j * (w * fine_dt))[:, None, :]
             tones = tones.reshape(len(tables), -1)[:, lo : lo + 2 * hop]
-            # each row gets its own block's left half, then the previous block's right half
+            frames[_rows(b + 1)] += weights[kind_r[sl]] * tones[:, hop:]
             frames[_rows(b)] += weights[kind_l[sl]] * tones[:, :hop]
-            right = weights[kind_r[sl]] * tones[:, hop:]
-            if tail is not None:
-                frames[tail[0]] += tail[1]
-            frames[_rows(b[:-1] + 1)] += right[:-1]
-            tail = b[-1] + 1, right[-1]
-            covered[_rows(b)] |= covers[kind_l[sl]]
-            covered[_rows(b + 1)] |= covers[kind_r[sl]]
-        frames[tail[0]] += tail[1]
 
-    view = slice(hop - ic0, hop - ic0 + length)
-    return SynthesizedWaveform(frames.reshape(-1)[view], covered.reshape(-1)[view])
+    return frames.reshape(-1)[hop - ic0 : hop - ic0 + length]
 
 
-def combine_waveforms(waveforms: list[SynthesizedWaveform], length: int) -> SynthesizedWaveform:
+def combine_waveforms(waveforms: list[np.ndarray], length: int) -> np.ndarray:
     """Sum separately rendered waveforms into one cancelable estimate."""
     total = np.zeros(length, dtype=np.complex128)
-    covered = np.zeros(length, dtype=bool)
     for w in waveforms:
-        total += w.samples
-        covered |= w.coverage
-    return SynthesizedWaveform(total, covered)
+        total += w
+    return total
 
 
-def cancel(original: SampleStream, synthesized: SynthesizedWaveform) -> SampleStream:
-    """Coherent subtraction: exact elementwise difference."""
-    if len(original) != synthesized.samples.size:
+def cancel(original: SampleStream, waveform: np.ndarray) -> SampleStream:
+    """Coherent subtraction: exact elementwise difference, the identity where waveform is 0."""
+    if len(original) != waveform.size:
         raise ValueError(
-            f"length mismatch: stream has {len(original)} samples, "
-            f"waveform has {synthesized.samples.size}"
+            f"length mismatch: stream has {len(original)} samples, waveform has {waveform.size}"
         )
-    return SampleStream(
-        original.samples - synthesized.samples, original.sample_rate_hz, original.t0_s
-    )
+    return SampleStream(original.samples - waveform, original.sample_rate_hz, original.t0_s)
 
 
 def write_tracks_csv(tracks: list[Track], path) -> None:

@@ -488,6 +488,19 @@ class TestParameterErrors:
         self.expect_error(capsys, ["analyze", "--waterfall", "--in", str(src), "--rate", RATE],
                           "--waterfall needs --out")
 
+    @pytest.mark.parametrize("what", ["--spectrum", "--waterfall"])
+    def test_analyze_out_checked_before_the_input_is_read(self, tmp_path, capsys, what):
+        self.expect_error(capsys, ["analyze", what, "--in", str(tmp_path / "missing.iq"),
+                                   "--rate", RATE], f"{what} needs --out")
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_cancel_report_needs_band(self, tmp_path, capsys, exists):
+        src = self.tone_file(tmp_path, n=2560) if exists else tmp_path / "missing.iq"
+        outputs = [tmp_path / "r.iq", tmp_path / "rep.csv"]
+        self.expect_error(capsys, [
+            "cancel", "--in", str(src), "--rate", RATE, "--out-residual", str(outputs[0]),
+            "--report", str(outputs[1])], "--report needs --band", outputs)
+
 
 class TestOutputsMatchLibrary:
     RATE_HZ = 2048000.0

@@ -1,13 +1,13 @@
 """The frame-grid synthesize against the renderers it replaced.
 
 Two oracles live here.  oracle_synthesize is the earlier per-track renderer:
-one full-length buffer and coverage mask per track, filled through lead,
-blend, gap and trail branches.  slice_synthesize is the single-buffer slice
-renderer that followed it, bit-identical to the per-track oracle summed with
-combine_waveforms.  The frame-grid synthesize computes each tone from two
-short phasor tables instead of one complex exponential per sample, so it
-matches slice_synthesize to rounding: coverage bit for bit, samples within
-4*N*2**-52 of the summed track amplitudes.
+one full-length buffer per track, filled through lead, blend, gap and trail
+branches.  slice_synthesize is the single-buffer slice renderer that followed
+it, bit-identical to the per-track oracle summed with combine_waveforms.
+The frame-grid synthesize computes each tone from two short phasor tables
+instead of one complex exponential per sample, so it matches slice_synthesize
+to rounding: exact zeros in the same places, samples within 4*N*2**-52 of the
+summed track amplitudes.
 """
 
 import numpy as np
@@ -18,13 +18,7 @@ from hypothesis import strategies as st
 from stsa import synthesis
 from stsa.blockproc import SinusoidEstimate, StsaConfig, process_stream
 from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm, mix
-from stsa.synthesis import (
-    SynthesizedWaveform,
-    Track,
-    assemble_tracks,
-    combine_waveforms,
-    synthesize,
-)
+from stsa.synthesis import Track, assemble_tracks, combine_waveforms, synthesize
 import table_helpers
 
 RATE = 2048000.0
@@ -40,20 +34,19 @@ def slice_synthesize(
     tracks: list[Track],
     stream_meta: tuple[int, float, float],
     config: StsaConfig,
-) -> SynthesizedWaveform:
+) -> np.ndarray:
     """Render every track, summed in list order, into one waveform on the stream's grid.
 
     Between the centers of estimates in adjacent blocks the two sinusoids are
     blended as (1-a)*x_i + a*x_j with a running 0 -> 1; the outer half-blocks
     of a run of adjacent estimates use the nearest estimate unblended.
-    Detection gaps wider than one block step are left at zero (coverage
-    False) rather than bridged.
+    Detection gaps wider than one block step are left at zero rather than
+    bridged.
     """
     length, sample_rate_hz, _t0 = stream_meta
     n = config.block_len_n
     hop = config.hop
     out = np.zeros(length, dtype=np.complex128)
-    covered = np.zeros(length, dtype=bool)
 
     def center_of(e):
         return e.block_index * hop + (n - 1) / 2.0
@@ -63,7 +56,6 @@ def slice_synthesize(
 
     def add(lo: int, values: np.ndarray):
         out[lo : lo + values.size] += values
-        covered[lo : lo + values.size] = True
 
     for track in tracks:
         entries = table_helpers.entries(track)
@@ -86,20 +78,20 @@ def slice_synthesize(
                 # Own tone on the right half-block where a run ends.
                 add(ic, _tone_at(e, grid(ic, start + n), c, sample_rate_hz))
 
-    return SynthesizedWaveform(out, covered)
+    return out
 
 
 def oracle_synthesize(
     track: Track,
     stream_meta: tuple[int, float, float],
     config: StsaConfig,
-) -> SynthesizedWaveform:
+) -> np.ndarray:
     """Render one track into a waveform on the stream's sample grid.
 
     Between the centers of estimates in adjacent blocks the two sinusoids are
     blended as (1-a)*x_i + a*x_j with a running 0 -> 1; the outer half-blocks
     use the nearest estimate unblended.  Detection gaps wider than one block
-    step are left at zero (coverage False) rather than bridged.
+    step are left at zero rather than bridged.
     """
     if not len(track):
         raise ValueError("cannot synthesize an empty track")
@@ -107,7 +99,6 @@ def oracle_synthesize(
     n = config.block_len_n
     hop = config.hop
     out = np.zeros(length, dtype=np.complex128)
-    covered = np.zeros(length, dtype=bool)
 
     def center_of(e):
         return e.block_index * hop + (n - 1) / 2.0
@@ -117,7 +108,6 @@ def oracle_synthesize(
         hi = min(hi, length)
         if lo < hi:
             out[lo:hi] = values[: hi - lo]
-            covered[lo:hi] = True
 
     entries = table_helpers.entries(track)
     first, last = entries[0], entries[-1]
@@ -154,29 +144,28 @@ def oracle_synthesize(
     idx = np.arange(i_last, min(end_last, length), dtype=np.float64)
     fill(i_last, end_last, _tone_at(last, idx, c_last, sample_rate_hz))
 
-    return SynthesizedWaveform(out, covered)
+    return out
 
 
 def assert_matches_oracle(tracks, meta, config):
     got = slice_synthesize(tracks, meta, config)
     # a generator keeps one per-track buffer alive at a time
     want = combine_waveforms((oracle_synthesize(t, meta, config) for t in tracks), meta[0])
-    assert got.samples.tobytes() == want.samples.tobytes()
-    assert got.coverage.tobytes() == want.coverage.tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 def assert_close_to_slices(tracks, meta, config):
-    """Coverage bit for bit; samples within 4*N*eps of the summed track peaks.
+    """Exact zeros in the same places; samples within 4*N*eps of the summed track peaks.
 
     The phase argument 2*pi*f*dt of either renderer reaches pi*N radians, so
     each rounds to about N*eps relative.
     """
     got = synthesize(tracks, meta, config)
     want = slice_synthesize(tracks, meta, config)
-    assert got.coverage.tobytes() == want.coverage.tobytes()
+    assert np.array_equal(got == 0, want == 0)
     scale = sum(t.amp.max() for t in tracks)
     bound = 4 * config.block_len_n * 2.0**-52 * scale
-    assert np.abs(got.samples - want.samples).max(initial=0.0) <= bound
+    assert np.abs(got - want).max(initial=0.0) <= bound
 
 
 def stream_tracks(stream, config):
@@ -279,8 +268,7 @@ def test_properties_run_under_the_deterministic_profile():
 
 def test_no_tracks_render_zeros():
     wave = synthesize([], (100, RATE, 0.0), StsaConfig())
-    assert wave.samples.tobytes() == np.zeros(100, np.complex128).tobytes()
-    assert not wave.coverage.any()
+    assert wave.tobytes() == np.zeros(100, np.complex128).tobytes()
 
 
 def test_empty_track_rejected_anywhere_in_list():
@@ -319,5 +307,4 @@ def test_chunk_size_does_not_change_the_sum(monkeypatch, n, overlap):
     for entries in (1, 2, 3, 7, 16):
         monkeypatch.setattr(synthesis, "_CHUNK_SAMPLES", entries * config.hop)
         got = synthesize(tracks, meta, config)
-        assert got.samples.tobytes() == want.samples.tobytes()
-        assert got.coverage.tobytes() == want.coverage.tobytes()
+        assert got.tobytes() == want.tobytes()

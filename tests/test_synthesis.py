@@ -6,14 +6,7 @@ import pytest
 from stsa.blockproc import SinusoidEstimate, StsaConfig, process_stream
 from stsa.iq import SampleStream
 from stsa.siggen import add_awgn, gen_tone, mix
-from stsa.synthesis import (
-    SynthesizedWaveform,
-    assemble_tracks,
-    cancel,
-    combine_waveforms,
-    synthesize,
-    write_tracks_csv,
-)
+from stsa.synthesis import assemble_tracks, cancel, combine_waveforms, synthesize, write_tracks_csv
 import table_helpers
 from table_helpers import estimates_table, track
 
@@ -117,7 +110,7 @@ class TestSynthesize:
         for b in range(4):
             center_idx = b * n_odd + (n_odd - 1) // 2
             expected = 0.8 * np.exp(1j * (0.3 + 0.1 * b))
-            assert wave.samples[center_idx] == expected
+            assert wave[center_idx] == expected
 
     def test_stationary_tone_cancels_deeply(self):
         stream, _ = gen_tone(1.0, 82000.0, 0.7, N * 64, RATE)
@@ -126,7 +119,7 @@ class TestSynthesize:
         tracks = assemble_tracks(blocks, cfg, RATE)
         assert len(tracks) == 1
         wave = synthesize(tracks[:1], (len(stream), RATE, 0.0), cfg)
-        assert wave.coverage.all()
+        assert wave.all()
         residual = cancel(stream, wave)
         ratio = residual.power() / stream.power()
         assert 10 * np.log10(ratio) < -80.0
@@ -150,7 +143,8 @@ class TestSynthesize:
         entries = (est(0, f, amp, 0.0), est(1, f, amp, 0.1))
         cfg = StsaConfig()
         wave = synthesize([track(entries, 0)], (2 * N, RATE, 0.0), cfg)
-        jumps = np.abs(np.diff(wave.samples[wave.coverage]))
+        assert wave.all()
+        jumps = np.abs(np.diff(wave))
         tone_rotation = 2 * amp * abs(np.sin(np.pi * f / RATE))
         assert jumps.max() <= tone_rotation + 1.2 * amp * 0.1 / N
 
@@ -171,45 +165,43 @@ class TestSynthesize:
         wave = synthesize([main], (len(noisy), RATE, 0.0), cfg)
         amp_max = main.amp.max()
         ideal_step = 2 * amp_max * np.sin(np.pi * 5000.0 / RATE)
-        assert np.abs(np.diff(wave.samples)).max() <= 3 * ideal_step
+        assert np.abs(np.diff(wave)).max() <= 3 * ideal_step
 
     def test_gap_wider_than_one_block_zero_filled(self):
         entries = (est(0, 50000.0), est(3, 50000.0))
-        cfg = StsaConfig()
-        wave = synthesize([track(entries, 0)], (4 * N, RATE, 0.0), cfg)
-        # own blocks covered, the two missing blocks zero
-        assert wave.coverage[:N].all()
-        assert not wave.coverage[N : 3 * N].any()
-        assert wave.coverage[3 * N :].all()
-        np.testing.assert_array_equal(wave.samples[N : 3 * N], 0.0)
+        stream, _ = gen_tone(1.0, 1000.0, 0.0, 4 * N, RATE)
+        wave = synthesize([track(entries, 0)], (len(stream), RATE, 0.0), StsaConfig())
+        # each entry renders its own block; the two missing blocks are exact zeros
+        assert wave[:N].all() and wave[3 * N :].all()
+        assert wave[N : 3 * N].tobytes() == np.zeros(2 * N, complex).tobytes()
+        residual = cancel(stream, wave)
+        assert residual.samples[N : 3 * N].tobytes() == stream.samples[N : 3 * N].tobytes()
 
     def test_adjacent_blocks_blend_continuously(self):
         entries = (est(0, 50000.0), est(1, 50080.0))
         wave = synthesize([track(entries, 0)], (2 * N, RATE, 0.0), StsaConfig())
-        assert wave.coverage.all()
+        assert wave.all()
 
     def test_leading_and_trailing_edges_unblended(self):
         entries = (est(2, 40000.0, amp=0.5, phase=1.0),)
-        cfg = StsaConfig()
-        wave = synthesize([track(entries, 0)], (5 * N, RATE, 0.0), cfg)
-        assert not wave.coverage[: 2 * N].any()
-        assert wave.coverage[2 * N : 3 * N].all()
-        assert not wave.coverage[3 * N :].any()
-        # every covered sample has the estimate's magnitude (single tone)
-        mags = np.abs(wave.samples[wave.coverage])
-        np.testing.assert_allclose(mags, 0.5, rtol=1e-12)
+        stream, _ = gen_tone(1.0, 1000.0, 0.0, 5 * N, RATE)
+        wave = synthesize([track(entries, 0)], (len(stream), RATE, 0.0), StsaConfig())
+        # a lone entry renders its own block at its amplitude, exact zeros elsewhere
+        np.testing.assert_allclose(np.abs(wave[2 * N : 3 * N]), 0.5, rtol=1e-12)
+        outside = np.r_[: 2 * N, 3 * N : 5 * N]
+        assert wave[outside].tobytes() == np.zeros(4 * N, complex).tobytes()
+        residual = cancel(stream, wave)
+        assert residual.samples[outside].tobytes() == stream.samples[outside].tobytes()
 
 
 class TestCancel:
     def test_zero_waveform_is_identity(self):
         s, _ = gen_tone(1.0, 1000.0, 0.0, 128, RATE)
-        zero = SynthesizedWaveform(np.zeros(128, complex), np.zeros(128, bool))
-        np.testing.assert_array_equal(cancel(s, zero).samples, s.samples)
+        assert cancel(s, np.zeros(128, complex)).samples.tobytes() == s.samples.tobytes()
 
     def test_self_cancel_is_zero(self):
         s, _ = gen_tone(1.0, 1000.0, 0.0, 128, RATE)
-        wave = SynthesizedWaveform(np.array(s.samples), np.ones(128, bool))
-        np.testing.assert_array_equal(cancel(s, wave).samples, np.zeros(128))
+        np.testing.assert_array_equal(cancel(s, np.array(s.samples)).samples, np.zeros(128))
 
     def test_linearity_exact(self):
         # Dyadic values make float addition exact, so the identity
@@ -218,27 +210,22 @@ class TestCancel:
         quant = lambda: (rng.integers(-512, 512, 64) + 1j * rng.integers(-512, 512, 64)) / 256.0
         a = SampleStream(quant(), RATE)
         b = SampleStream(quant(), RATE)
-        w = SynthesizedWaveform(quant(), np.ones(64, bool))
+        w = quant()
         lhs = cancel(mix([a, b]), w).samples
         rhs = b.samples + cancel(a, w).samples
         np.testing.assert_array_equal(lhs, rhs)
 
     def test_length_mismatch_rejected(self):
         s, _ = gen_tone(1.0, 1000.0, 0.0, 128, RATE)
-        wave = SynthesizedWaveform(np.zeros(64, complex), np.zeros(64, bool))
         with pytest.raises(ValueError, match="length"):
-            cancel(s, wave)
+            cancel(s, np.zeros(64, complex))
 
 
 def test_combine_waveforms():
-    w1 = SynthesizedWaveform(np.ones(8, complex), np.array([1, 1, 1, 1, 0, 0, 0, 0], bool))
-    w2 = SynthesizedWaveform(2j * np.ones(8, complex), np.array([0, 0, 1, 1, 1, 1, 0, 0], bool))
-    total = combine_waveforms([w1, w2], 8)
-    np.testing.assert_array_equal(total.samples, 1 + 2j)
-    assert total.coverage.sum() == 6
-    empty = combine_waveforms([], 4)
-    np.testing.assert_array_equal(empty.samples, 0)
-    assert not empty.coverage.any()
+    total = combine_waveforms([np.ones(8, complex), 2j * np.ones(8, complex)], 8)
+    np.testing.assert_array_equal(total, 1 + 2j)
+    assert total.dtype == np.complex128
+    assert combine_waveforms([], 4).tobytes() == np.zeros(4, complex).tobytes()
 
 
 def test_tracks_csv(tmp_path):
