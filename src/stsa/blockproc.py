@@ -90,8 +90,11 @@ class StsaConfig:
         """Warn when the block is too long for a signal of the given bandwidth.
 
         The stationary approximation needs roughly Fs >= N*B; returns True
-        when that holds.
+        when that holds.  The bandwidth must be positive and finite.
         """
+        if not 0 < signal_bandwidth_hz < math.inf:
+            raise ValueError(
+                f"signal_bandwidth_hz must be positive and finite, got {signal_bandwidth_hz}")
         ok = self.block_len_n <= sample_rate_hz / signal_bandwidth_hz
         if not ok:
             warnings.warn(

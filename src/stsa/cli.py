@@ -188,6 +188,7 @@ def cmd_cancel(args) -> int:
     fmt = IqFormat(args.format)
     if args.report and not args.band:
         raise ValueError("--report needs --band")
+    pipeline.check_settings(args.passes, args.jump_limit)
     stream = iq.read_iq(args.input, fmt, args.rate)
     band = stream.check_band(args.band) if args.band else None
     result = pipeline.run_cancel(
@@ -200,7 +201,7 @@ def cmd_cancel(args) -> int:
     )
     iq.write_iq(result.residual, args.out_residual, fmt)
     if args.out_estimate:
-        iq.write_iq(result.estimate, args.out_estimate, fmt)
+        iq.write_iq(stream, args.out_estimate, fmt, minus=result.residual)
     if args.out_tracks:
         synthesis.write_tracks_csv(
             [trk for tracks in result.tracks_per_pass for trk in tracks], args.out_tracks)

@@ -83,16 +83,28 @@ class SampleStream:
         return float(np.mean(np.abs(self.samples) ** 2))
 
 
-def _encode(stream: SampleStream, fmt: IqFormat) -> np.ndarray:
-    interleaved = np.ascontiguousarray(stream.samples).view(np.float64)  # I0, Q0, I1, ...
-    if fmt is IqFormat.FLOAT32:
-        return interleaved.astype("<f4")
-    scaled = interleaved * INT8_SCALE  # exact, so |scaled| > 128 iff |component| > 1
-    n_clipped = int(np.count_nonzero(scaled > INT8_SCALE) + np.count_nonzero(scaled < -INT8_SCALE))
+# Samples encoded at a time: each encoded chunk stays in cache, and no
+# encoding or difference is built at stream length.
+_ENCODE_CHUNK = 2**14
+
+
+def _encode(samples: np.ndarray, fmt: IqFormat, minus: np.ndarray | None = None):
+    """Yield the interleaved encoding of samples (- minus), _ENCODE_CHUNK samples
+    at a time; once done, warn how many int8 components were clipped."""
+    n_clipped = 0
+    for i in range(0, samples.size, _ENCODE_CHUNK):
+        chunk = samples[i : i + _ENCODE_CHUNK]
+        if minus is not None:
+            chunk = chunk - minus[i : i + _ENCODE_CHUNK]
+        interleaved = np.ascontiguousarray(chunk).view(np.float64)  # I0, Q0, I1, ...
+        if fmt is IqFormat.FLOAT32:
+            yield interleaved.astype("<f4")
+        else:
+            scaled = interleaved * INT8_SCALE  # exact, so |scaled| > 128 iff |component| > 1
+            n_clipped += np.count_nonzero(np.abs(scaled) > INT8_SCALE)
+            yield np.clip(np.round(scaled, out=scaled), -128, 127, out=scaled).astype(np.int8)
     if n_clipped:
         warnings.warn(f"int8 write clipped {n_clipped} out-of-range components")
-    np.clip(np.round(scaled, out=scaled), -128, 127, out=scaled)
-    return scaled.astype(np.int8)
 
 
 def encode_iq(stream: SampleStream, fmt: IqFormat) -> bytes:
@@ -100,7 +112,7 @@ def encode_iq(stream: SampleStream, fmt: IqFormat) -> bytes:
 
     int8 components outside [-1, 1] are clipped; a warning reports how many.
     """
-    return _encode(stream, fmt).tobytes()
+    return b"".join(_encode(stream.samples, fmt))
 
 
 def decode_iq(data: bytes, fmt: IqFormat, sample_rate_hz: float, t0_s: float = 0.0) -> SampleStream:
@@ -128,7 +140,12 @@ def read_iq(path, fmt: IqFormat, sample_rate_hz: float) -> SampleStream:
     return decode_iq(data, fmt, sample_rate_hz)
 
 
-def write_iq(stream: SampleStream, path, fmt: IqFormat) -> None:
-    """Write :func:`encode_iq`'s bytes to an IQ file decodable by :func:`read_iq`."""
-    with open(path, "wb") as fh:
-        fh.write(_encode(stream, fmt))  # the array's own buffer, not a bytes copy
+def write_iq(stream: SampleStream, path, fmt: IqFormat,
+             minus: SampleStream | None = None) -> None:
+    """Write :func:`encode_iq`'s bytes of stream, or of stream - minus, to an IQ
+    file decodable by :func:`read_iq`, one encoded chunk at a time.
+    """
+    if minus is not None and len(minus) != len(stream):
+        raise ValueError(f"length mismatch: {len(stream)} samples minus {len(minus)}")
+    with open(path, "wb") as fh:  # each chunk's own buffer is written, not a bytes copy
+        fh.writelines(_encode(stream.samples, fmt, None if minus is None else minus.samples))

@@ -16,16 +16,16 @@ from .synthesis import Track
 
 @dataclass
 class CancelResult:
-    original: SampleStream
     residual: SampleStream
     tracks_per_pass: list = field(default_factory=list)
     blocks_per_pass: list = field(default_factory=list)
 
-    @property
-    def estimate(self) -> SampleStream:
-        """What the passes removed, original - residual, built on each read."""
-        return SampleStream(self.original.samples - self.residual.samples,
-                            self.original.sample_rate_hz, self.original.t0_s)
+
+def check_settings(passes: int, jump_limit_bins: float) -> None:
+    """Raise ValueError for a pass count or jump limit that run_cancel rejects."""
+    if passes < 1:
+        raise ValueError(f"passes must be at least 1, got {passes}")
+    synthesis.check_jump_limit(jump_limit_bins)
 
 
 def run_cancel(
@@ -43,10 +43,9 @@ def run_cancel(
     codec between passes, so an n-pass run is byte-identical to n chained
     single-pass runs over files of that format.
     """
-    if passes < 1:
-        raise ValueError(f"passes must be at least 1, got {passes}")
+    check_settings(passes, jump_limit_bins)
     work = stream
-    result = CancelResult(stream, stream)
+    result = CancelResult(stream)
     next_id = 0
     for p in range(passes):
         blocks = blockproc.process_stream(work, config)

@@ -52,6 +52,12 @@ class Track:
         return self.block_index.size
 
 
+def check_jump_limit(jump_limit_bins: float) -> None:
+    """Raise ValueError unless jump_limit_bins is positive (NaN is not)."""
+    if not jump_limit_bins > 0:
+        raise ValueError(f"jump_limit_bins must be positive, got {jump_limit_bins!r}")
+
+
 def assemble_tracks(
     estimates: Estimates,
     config: StsaConfig,
@@ -66,8 +72,7 @@ def assemble_tracks(
     A track accepts at most one estimate per block.  Of the tracks at the
     nearest distance, the one opened first wins.
     """
-    if not jump_limit_bins > 0:
-        raise ValueError(f"jump_limit_bins must be positive, got {jump_limit_bins!r}")
+    check_jump_limit(jump_limit_bins)
     if not np.isfinite(estimates.freq_hz).all():
         raise ValueError("estimate frequencies must be finite")
     bin_width = config.bin_width_hz(sample_rate_hz)
@@ -200,12 +205,16 @@ def combine_waveforms(waveforms: list[np.ndarray], length: int) -> np.ndarray:
 
 
 def cancel(original: SampleStream, waveform: np.ndarray) -> SampleStream:
-    """Coherent subtraction: exact elementwise difference, the identity where waveform is 0."""
+    """Coherent subtraction: exact elementwise difference, the identity where waveform is 0.
+
+    The caller hands the complex128 waveform over: the residual overwrites it.
+    """
     if len(original) != waveform.size:
         raise ValueError(
             f"length mismatch: stream has {len(original)} samples, waveform has {waveform.size}"
         )
-    return SampleStream(original.samples - waveform, original.sample_rate_hz, original.t0_s)
+    residual = np.subtract(original.samples, waveform, out=waveform)
+    return SampleStream(residual, original.sample_rate_hz, original.t0_s)
 
 
 def write_tracks_csv(tracks: list[Track], path) -> None:

@@ -8,7 +8,7 @@ import pytest
 from stsa import metrics, pipeline, run_cancel, siggen, synthesis
 from stsa.blockproc import StsaConfig
 from stsa.cli import build_parser, entry, main
-from stsa.iq import IqFormat, SampleStream, read_iq, write_iq
+from stsa.iq import IqFormat, SampleStream, encode_iq, read_iq, write_iq
 
 RATE = "2048000"
 
@@ -31,14 +31,24 @@ def test_cancel_requires_at_least_one_pass(tmp_path, capsys):
     assert not resid.exists()
 
 
-def test_estimate_built_only_when_read():
-    t = np.arange(4096) / 2048000.0
-    stream = SampleStream(0.5 * np.exp(2j * np.pi * 82000.0 * t), 2048000.0, 0.25)
-    result = run_cancel(stream, StsaConfig(max_peel=1), passes=2)
-    assert "estimate" not in vars(result)
-    estimate = result.estimate
-    assert estimate.samples.tobytes() == (stream.samples - result.residual.samples).tobytes()
-    assert (estimate.sample_rate_hz, estimate.t0_s) == (2048000.0, 0.25)
+@pytest.mark.parametrize("fmt", list(IqFormat))
+@pytest.mark.parametrize("passes", [1, 2])
+def test_estimate_file_is_the_encoded_difference(tmp_path, fmt, passes):
+    # 40,000 samples span three write chunks
+    rng = np.random.default_rng(1)
+    t = np.arange(40000) / 2048000.0
+    x = 0.5 * np.exp(2j * np.pi * 82000.0 * t) + 0.3 * np.exp(-2j * np.pi * 300e3 * t)
+    x += 0.02 * (rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size))
+    src, resid, est = tmp_path / "in.iq", tmp_path / "resid.iq", tmp_path / "est.iq"
+    write_iq(SampleStream(x, 2048000.0), src, fmt)
+    assert run(["cancel", "--in", str(src), "--rate", RATE, "--format", fmt.value,
+                "--passes", str(passes), "--out-residual", str(resid),
+                "--out-estimate", str(est)]) == 0
+    original = read_iq(src, fmt, 2048000.0)
+    residual = run_cancel(original, StsaConfig(), passes=passes, inter_pass_format=fmt).residual
+    difference = SampleStream(original.samples - residual.samples, 2048000.0)
+    assert resid.read_bytes() == encode_iq(residual, fmt)
+    assert est.read_bytes() == encode_iq(difference, fmt)
 
 
 def weak_then_strong_stream() -> SampleStream:
@@ -492,6 +502,17 @@ class TestParameterErrors:
     def test_analyze_out_checked_before_the_input_is_read(self, tmp_path, capsys, what):
         self.expect_error(capsys, ["analyze", what, "--in", str(tmp_path / "missing.iq"),
                                    "--rate", RATE], f"{what} needs --out")
+
+    @pytest.mark.parametrize("setting,message", [
+        ("--passes=0", "passes must be at least 1"), ("--passes=-1", "passes must be at least 1"),
+        ("--jump-limit=0", "jump_limit_bins must be positive"),
+        ("--jump-limit=nan", "jump_limit_bins must be positive"),
+    ])
+    def test_cancel_settings_checked_before_the_input_is_read(self, tmp_path, capsys, setting,
+                                                               message):
+        resid = tmp_path / "r.iq"
+        self.expect_error(capsys, ["cancel", "--in", str(tmp_path / "missing.iq"), "--rate", RATE,
+                                   setting, "--out-residual", str(resid)], message, [resid])
 
     @pytest.mark.parametrize("exists", [True, False])
     def test_cancel_report_needs_band(self, tmp_path, capsys, exists):

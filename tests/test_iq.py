@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stsa.iq import IqFormat, SampleStream, encode_iq, decode_iq, read_iq, write_iq
+from stsa.iq import _ENCODE_CHUNK as CHUNK
 
 
 def test_int8_known_bytes(tmp_path):
@@ -189,6 +190,45 @@ def test_write_iq_writes_the_encoded_bytes(tmp_path, fmt, step):
     assert (tmp_path / "x.iq").read_bytes() == encoded[0]
     assert written[1] == encoded[1]
     assert len(written[1]) == (fmt is IqFormat.INT8)  # an int8 clip warns exactly once
+
+
+@pytest.mark.parametrize("fmt", list(IqFormat))
+@pytest.mark.parametrize("step", [1, 3])
+@pytest.mark.parametrize("length", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_write_iq_is_the_one_shot_encoding_at_chunk_boundaries(tmp_path, fmt, step, length):
+    real, imag = np.random.default_rng(length).uniform(-1.5, 1.5, (2, length * step))
+    stream = SampleStream((real + 1j * imag)[::step], 1.0)
+    path = tmp_path / "x.iq"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        write_iq(stream, path, fmt)
+        encoded = encode_iq(stream, fmt)
+        want = _interleaved_encode(stream, fmt)
+    assert path.read_bytes() == encoded == want
+    messages = [str(w.message) for w in caught]
+    assert messages == messages[:1] * 3  # write, encode and the oracle warn alike, or none does
+
+
+def test_int8_write_clipping_in_several_chunks_warns_once_with_the_total(tmp_path):
+    samples = np.full(3 * CHUNK, 0.5 + 0.5j)
+    samples[[0, CHUNK + 1, 3 * CHUNK - 1]] = [2.0, -3.0j, 1.5 - 1.5j]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        write_iq(SampleStream(samples, 1.0), tmp_path / "x.iq", IqFormat.INT8)
+    assert [str(w.message) for w in caught] == ["int8 write clipped 4 out-of-range components"]
+
+
+def test_write_iq_minus_writes_the_encoded_difference(tmp_path):
+    rng = np.random.default_rng(2)
+    a, b = (SampleStream(rng.standard_normal(2 * CHUNK + 3) + 1j, 1.0) for _ in range(2))
+    for fmt in IqFormat:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # int8 clips; the counts are checked above
+            write_iq(a, tmp_path / "d.iq", fmt, minus=b)
+            want = encode_iq(SampleStream(a.samples - b.samples, 1.0), fmt)
+        assert (tmp_path / "d.iq").read_bytes() == want
+    with pytest.raises(ValueError, match="length mismatch"):
+        write_iq(a, tmp_path / "d.iq", IqFormat.FLOAT32, minus=SampleStream(b.samples[:-1], 1.0))
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf, -np.inf])

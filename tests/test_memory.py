@@ -1,8 +1,9 @@
-"""Traced peak memory of the report and the IQ writer on a 2**21-sample stream.
+"""Traced peak memory of the report, the IQ writer and `stsa cancel`.
 
-The stream is built before tracing starts, so each peak counts only what
-the call itself allocates.  The bounds are fractions of one stream copy, so a
-stage that again transforms or encodes the whole stream at once fails them.
+The input is built before tracing starts, so each peak counts only what
+the call itself allocates.  The bounds are multiples of one complex128 copy
+of the stream, so a stage that again transforms, encodes or copies the whole
+stream at once fails them.
 """
 
 import tracemalloc
@@ -10,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stsa.cli import main
 from stsa.iq import IqFormat, SampleStream, write_iq
 from stsa.metrics import suppression_report
 
@@ -44,3 +46,24 @@ def test_write_peak_is_the_encoded_size(streams, tmp_path):
     peak = traced_peak(lambda: write_iq(streams[0], tmp_path / "x.iq", IqFormat.FLOAT32))
     assert (tmp_path / "x.iq").stat().st_size == encoded_bytes
     assert peak < encoded_bytes + 2**20
+
+
+def test_cancel_with_estimate_peaks_under_three_stream_copies(tmp_path):
+    # After the estimator the only stream-length buffers are the input and
+    # the rendered waveform, which becomes the residual; the residual and
+    # estimate files are encoded in chunks.  A third complex128 copy (a
+    # separate residual or estimate array) goes over the bound.
+    samples = 2**20
+    rng = np.random.default_rng(5)
+    t = np.arange(samples) / RATE
+    x = 0.5 * np.exp(2j * np.pi * 100e3 * t) + 0.01 * (
+        rng.standard_normal(samples) + 1j * rng.standard_normal(samples))
+    src = tmp_path / "in.iq"
+    write_iq(SampleStream(x, RATE), src, IqFormat.FLOAT32)
+    del x, t
+    codes = []
+    peak = traced_peak(lambda: codes.append(main([
+        "cancel", "--in", str(src), "--rate", str(RATE), "--out-residual",
+        str(tmp_path / "r.iq"), "--out-estimate", str(tmp_path / "e.iq")])))
+    assert codes == [0]
+    assert peak < 3 * samples * np.dtype(np.complex128).itemsize

@@ -211,9 +211,18 @@ class TestCancel:
         a = SampleStream(quant(), RATE)
         b = SampleStream(quant(), RATE)
         w = quant()
-        lhs = cancel(mix([a, b]), w).samples
-        rhs = b.samples + cancel(a, w).samples
+        lhs = cancel(mix([a, b]), w.copy()).samples
+        rhs = b.samples + cancel(a, w.copy()).samples
         np.testing.assert_array_equal(lhs, rhs)
+
+    def test_residual_is_written_into_the_waveform(self):
+        s, _ = gen_tone(1.0, 1000.0, 0.0, 128, RATE)
+        w = 0.5 * s.samples
+        expected = s.samples - w
+        residual = cancel(s, w)
+        assert np.shares_memory(residual.samples, w)
+        assert residual.samples.tobytes() == expected.tobytes()
+        assert not residual.samples.flags.writeable
 
     def test_length_mismatch_rejected(self):
         s, _ = gen_tone(1.0, 1000.0, 0.0, 128, RATE)
