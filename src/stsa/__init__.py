@@ -25,13 +25,7 @@ from .metrics import (
 )
 from .pipeline import CancelResult, run_cancel
 from .siggen import NbfmSpec, TruthRecord, add_awgn, gen_am, gen_nbfm, gen_tone, mix
-from .synthesis import (
-    Track,
-    assemble_tracks,
-    cancel,
-    combine_waveforms,
-    synthesize,
-)
+from .synthesis import assemble_tracks, cancel, combine_waveforms, synthesize
 
 __version__ = "0.1.0"
 
@@ -47,7 +41,6 @@ __all__ = [
     "SpectrumFrame",
     "StsaConfig",
     "SuppressionReport",
-    "Track",
     "TruthRecord",
     "add_awgn",
     "assemble_tracks",

@@ -189,8 +189,9 @@ def cmd_cancel(args) -> int:
     if args.report and not args.band:
         raise ValueError("--report needs --band")
     pipeline.check_settings(args.passes, args.jump_limit)
+    empty = iq.SampleStream([], args.rate)  # checks --rate and --band before the input is read
+    band = empty.check_band(args.band) if args.band else None
     stream = iq.read_iq(args.input, fmt, args.rate)
-    band = stream.check_band(args.band) if args.band else None
     result = pipeline.run_cancel(
         stream,
         config,
@@ -203,8 +204,8 @@ def cmd_cancel(args) -> int:
     if args.out_estimate:
         iq.write_iq(stream, args.out_estimate, fmt, minus=result.residual)
     if args.out_tracks:
-        synthesis.write_tracks_csv(
-            [trk for tracks in result.tracks_per_pass for trk in tracks], args.out_tracks)
+        synthesis.write_tracks_csv(zip(result.blocks_per_pass, result.tracks_per_pass),
+                                   args.out_tracks)
     if band:
         report = metrics.suppression_report(stream, result.residual, band)
         print(metrics.format_report(report))
@@ -218,13 +219,14 @@ def cmd_cancel(args) -> int:
 
 def cmd_analyze(args) -> int:
     fmt = IqFormat(args.format)
+    empty = iq.SampleStream([], args.rate)  # checks --rate and --band before any input is read
     if args.suppression:
         if not args.before or not args.after or not args.band:
             raise ValueError("--suppression needs --before, --after, and --band")
+        band = empty.check_band(args.band)
         before = iq.read_iq(args.before, fmt, args.rate)
         after = iq.read_iq(args.after, fmt, args.rate)
-        report = metrics.suppression_report(before, after, tuple(args.band),
-                                            resolution_hz=args.res)
+        report = metrics.suppression_report(before, after, band, resolution_hz=args.res)
         print(metrics.format_report(report))
         if args.out:
             metrics.write_report_csv(report, args.out)

@@ -6,12 +6,11 @@ Each stage is called through its module attribute (`blockproc.process_stream`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import blockproc, iq, synthesis
 from .blockproc import StsaConfig
 from .iq import IqFormat, SampleStream
-from .synthesis import Track
 
 
 @dataclass
@@ -38,7 +37,8 @@ def run_cancel(
 ) -> CancelResult:
     """Estimate-and-subtract the stream, optionally iterating on the residual.
 
-    The tracks kept over all passes get the signal ids 0..T-1 in pass order.
+    Each pass keeps its estimate table and its tracks, the row arrays of that
+    table that it rendered; synthesis.write_tracks_csv numbers them.
     When inter_pass_format is set, the residual is round-tripped through that
     codec between passes, so an n-pass run is byte-identical to n chained
     single-pass runs over files of that format.
@@ -46,16 +46,13 @@ def run_cancel(
     check_settings(passes, jump_limit_bins)
     work = stream
     result = CancelResult(stream)
-    next_id = 0
     for p in range(passes):
         blocks = blockproc.process_stream(work, config)
         tracks = synthesis.assemble_tracks(blocks, config, work.sample_rate_hz, jump_limit_bins)
         if strongest_only and tracks:
-            tracks = [max(tracks, key=Track.total_energy)]
-        tracks = [replace(t, signal_id=next_id + i) for i, t in enumerate(tracks)]
-        next_id += len(tracks)
+            tracks = [max(tracks, key=lambda rows: sum(a**2 for a in blocks.amp[rows].tolist()))]
         meta = (len(work), work.sample_rate_hz, work.t0_s)
-        residual = synthesis.cancel(work, synthesis.synthesize(tracks, meta, config))
+        residual = synthesis.cancel(work, synthesis.synthesize(tracks, meta, config, blocks))
         if inter_pass_format is not None and p < passes - 1:
             residual = iq.decode_iq(
                 iq.encode_iq(residual, inter_pass_format),

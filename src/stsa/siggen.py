@@ -73,21 +73,21 @@ class NbfmSpec:
     mod_noise_rms: float | None = None
 
     def __post_init__(self):
-        if self.deviation_hz < 0:
+        if not self.deviation_hz >= 0:  # each check is written so that NaN fails it
             raise ValueError("deviation_hz must be nonnegative")
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise ValueError("duration_s must be positive")
-        if self.amp <= 0:
+        if not self.amp > 0:
             raise ValueError("amp must be positive")
         if self.mod_tones and self.mod_noise_bw_hz is not None:
             raise ValueError("choose tone modulation or noise modulation, not both")
         if self.mod_tones:
             amps = [a for _, a in self.mod_tones]
-            if any(a < 0 or a > 1 for a in amps):
+            if not all(0 <= a <= 1 for a in amps):
                 raise ValueError("modulating tone amplitudes must lie in [0, 1]")
             if sum(amps) > 1.0 + 1e-12:
                 raise ValueError("modulating tone amplitudes must sum to at most 1")
-        if self.mod_noise_bw_hz is not None and self.mod_noise_bw_hz <= 0:
+        if self.mod_noise_bw_hz is not None and not self.mod_noise_bw_hz > 0:
             raise ValueError("mod_noise_bw_hz must be positive")
         if self.mod_noise_rms is not None and not 0 < self.mod_noise_rms < 1:
             raise ValueError("mod_noise_rms must lie in (0, 1)")

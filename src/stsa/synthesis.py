@@ -1,11 +1,12 @@
 """Track assembly, waveform synthesis, and coherent subtraction.
 
 Per-block sinusoid estimates are chained into tracks by greedy
-nearest-frequency association.  All tracks are summed into one noise-free
-waveform: between the centers of adjacent blocks the two blocks' sinusoids
-are cross-faded linearly, which keeps the waveform continuous while leaving
-each block's own estimate exact at its center, and samples no estimate
-reaches stay exactly zero.  The rendered waveform is then subtracted
+nearest-frequency association; a track is the array of its row indices into
+the estimate table, in block order.  All tracks are summed into one
+noise-free waveform: between the centers of adjacent blocks the two blocks'
+sinusoids are cross-faded linearly, which keeps the waveform continuous
+while leaving each block's own estimate exact at its center, and samples no
+estimate reaches stay exactly zero.  The rendered waveform is then subtracted
 sample-by-sample from the original stream.
 """
 
@@ -13,8 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
@@ -23,33 +23,6 @@ from .iq import SampleStream
 
 DEFAULT_JUMP_LIMIT_BINS = 0.5
 TRACKS_CSV_HEADER = "signal_id,block_index,t_center_s,peel_rank,amp,freq_hz,phase_rad"
-
-
-@dataclass(frozen=True, eq=False)
-class Track:
-    """Time-ordered chain of per-block estimates belonging to one signal.
-
-    The columns are the row columns of blockproc.Estimates, one value per
-    block the track visits.
-    """
-
-    signal_id: int
-    block_index: np.ndarray
-    peel_rank: np.ndarray
-    amp: np.ndarray
-    freq_hz: np.ndarray
-    phase_rad: np.ndarray
-    t_center_s: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.block_index) <= 0):
-            raise ValueError("track block indices must be strictly increasing")
-
-    def total_energy(self) -> float:
-        return float(sum(a**2 for a in self.amp.tolist()))
-
-    def __len__(self) -> int:
-        return self.block_index.size
 
 
 def check_jump_limit(jump_limit_bins: float) -> None:
@@ -63,8 +36,11 @@ def assemble_tracks(
     config: StsaConfig,
     sample_rate_hz: float,
     jump_limit_bins: float = DEFAULT_JUMP_LIMIT_BINS,
-) -> list[Track]:
+) -> list[np.ndarray]:
     """Greedy nearest-frequency association of block estimates into tracks.
+
+    Each track is the np.intp array of its rows of estimates, in block order;
+    the tracks are listed in the order they open.
 
     Within a block, estimates are matched in peel order; each joins the open
     track whose last frequency is nearest, provided the jump stays under
@@ -102,10 +78,7 @@ def assemble_tracks(
         ends[best] = freq, block
         insort(by_freq, (freq, best))
         taken.add(best)
-    columns = (estimates.block_index, estimates.peel_rank, estimates.amp, estimates.freq_hz,
-               estimates.phase_rad, estimates.t_center_s)
-    return [Track(signal_id, *(c[rows] for c in columns))
-            for signal_id, rows in enumerate(members)]
+    return [np.array(rows, dtype=np.intp) for rows in members]
 
 
 def _nearest_first(by_freq, freq):
@@ -137,12 +110,14 @@ _CHUNK_SAMPLES = 2**16
 
 
 def synthesize(
-    tracks: list[Track],
+    tracks: list[np.ndarray],
     stream_meta: tuple[int, float, float],
     config: StsaConfig,
+    estimates: Estimates,
 ) -> np.ndarray:
     """Render every track, summed in list order, into one complex128 waveform
-    of the stream's length.
+    of the stream's length.  Each track lists its rows of estimates, whose
+    blocks must strictly increase.
 
     Between the centers of estimates in adjacent blocks the two sinusoids are
     blended as (1-a)*x_i + a*x_j with a running 0 -> 1; the outer half-blocks
@@ -162,7 +137,7 @@ def synthesize(
     hop = config.hop
     ic0 = n // 2  # ceil((n - 1) / 2)
     delta = ic0 - (n - 1) / 2.0
-    last = max((int(t.block_index[-1]) for t in tracks if len(t)), default=-1)
+    last = max((int(estimates.block_index[t[-1]]) for t in tracks if len(t)), default=-1)
     rows = max(-(-(hop - ic0 + length) // hop), last + 2)
     frames = np.zeros((rows, hop), dtype=np.complex128)
     # weight rows: left half-block where a run begins, blend in from the
@@ -179,10 +154,14 @@ def synthesize(
     for track in tracks:
         if not len(track):
             raise ValueError("cannot synthesize an empty track")
-        amp, freq, phase, blk = track.amp, track.freq_hz, track.phase_rad, track.block_index
+        amp, freq, phase, blk = (c[track] for c in (estimates.amp, estimates.freq_hz,
+                                                    estimates.phase_rad, estimates.block_index))
         if blk[0] < 0:
             raise ValueError(f"block_index must be non-negative, got {blk[0]}")
-        gap = np.diff(blk) > 1
+        step = np.diff(blk)
+        if np.any(step <= 0):
+            raise ValueError("track block indices must be strictly increasing")
+        gap = step > 1
         kind_l, kind_r = np.where(np.r_[True, gap], 0, 1), np.where(np.r_[gap, True], 3, 2)
         for i in range(0, blk.size, chunk):
             sl, b = slice(i, i + chunk), blk[i : i + chunk]
@@ -217,12 +196,17 @@ def cancel(original: SampleStream, waveform: np.ndarray) -> SampleStream:
     return SampleStream(residual, original.sample_rate_hz, original.t0_s)
 
 
-def write_tracks_csv(tracks: list[Track], path) -> None:
-    """Per-entry table with TRACKS_CSV_HEADER's columns."""
+def write_tracks_csv(passes, path) -> None:
+    """Per-entry table with TRACKS_CSV_HEADER's columns from (estimates, tracks) pairs.
+
+    The tracks get the signal ids 0..T-1 in pass order, then list order.
+    """
+    ids = count()
     with open(path, "w") as fh:
         fh.write(TRACKS_CSV_HEADER + "\n")
-        for trk in tracks:
-            columns = (trk.block_index, trk.t_center_s, trk.peel_rank, trk.amp, trk.freq_hz,
-                       trk.phase_rad)
-            fh.writelines(map("%d,%d,%.9f,%d,%.9g,%.6f,%.9f\n".__mod__,
-                              zip(repeat(trk.signal_id), *(c.tolist() for c in columns))))
+        for est, tracks in passes:
+            columns = (est.block_index, est.t_center_s, est.peel_rank, est.amp, est.freq_hz,
+                       est.phase_rad)
+            for rows, signal_id in zip(tracks, ids):  # tracks first: no id is drawn past the end
+                fh.writelines(map("%d,%d,%.9f,%d,%.9g,%.6f,%.9f\n".__mod__,
+                                  zip(repeat(signal_id), *(c[rows].tolist() for c in columns))))

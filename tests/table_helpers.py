@@ -3,7 +3,6 @@
 import numpy as np
 
 from stsa.blockproc import Estimates, SinusoidEstimate
-from stsa.synthesis import Track
 
 
 def row_columns(estimates) -> tuple:
@@ -28,11 +27,19 @@ def estimates_table(estimates, residual_power=None, noise_floor=None) -> Estimat
                      zeros if noise_floor is None else np.asarray(noise_floor, np.float64))
 
 
-def track(estimates, signal_id: int) -> Track:
-    return Track(signal_id, *row_columns(estimates))
+def tracks_table(entry_lists) -> tuple:
+    """(table, tracks): each list of entries is one track, its rows in the order given.
+
+    The table holds the entries of every list, list after list, so its rows
+    need not be in block order; only the tracks index it.
+    """
+    table = estimates_table([e for entries in entry_lists for e in entries])
+    ends = np.cumsum([0, *map(len, entry_lists)])
+    return table, [np.arange(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
-def entries(trk: Track) -> tuple:
-    """The track's rows as SinusoidEstimates."""
-    columns = (trk.amp, trk.freq_hz, trk.phase_rad, trk.block_index, trk.t_center_s, trk.peel_rank)
-    return tuple(SinusoidEstimate(*row) for row in zip(*(c.tolist() for c in columns)))
+def entries(table, rows) -> tuple:
+    """The table's rows as SinusoidEstimates."""
+    columns = (table.amp, table.freq_hz, table.phase_rad, table.block_index, table.t_center_s,
+               table.peel_rank)
+    return tuple(SinusoidEstimate(*row) for row in zip(*(c[rows].tolist() for c in columns)))

@@ -29,7 +29,7 @@ from stsa.metrics import (
 )
 from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm, gen_tone, mix
 from stsa.synthesis import assemble_tracks, cancel, synthesize
-from table_helpers import track
+from table_helpers import tracks_table
 
 RATE = 2048000.0
 N = 256
@@ -209,9 +209,9 @@ def test_criterion_6_multi_signal_peel():
     tracks = assemble_tracks(blocks, config, RATE)
     covered = sorted(
         (t for t in tracks if len(t) > len(blocks) // 2),
-        key=lambda t: np.mean(t.freq_hz),
+        key=lambda t: np.mean(blocks.freq_hz[t]),
     )
-    freqs_found = [float(np.mean(t.freq_hz)) for t in covered]
+    freqs_found = [float(np.mean(blocks.freq_hz[t])) for t in covered]
     three_ok = len(covered) == 3 and all(
         abs(found - expected) < 2000.0
         for found, expected in zip(freqs_found, [-25000.0, 0.0, 25000.0])
@@ -333,7 +333,8 @@ def test_criterion_8_invariant_suite(fm_scenario):
                          (b * n_odd + (n_odd - 1) / 2) / RATE, 0)
         for b in range(3)
     )
-    wave = synthesize([track(entries, 0)], (3 * n_odd, RATE, 0.0), cfg_odd)
+    table, tracks = tracks_table([entries])
+    wave = synthesize(tracks, (3 * n_odd, RATE, 0.0), cfg_odd, table)
     anchor_ok = all(
         wave[b * n_odd + (n_odd - 1) // 2] == 0.8 * np.exp(1j * (0.3 + 0.1 * b))
         for b in range(3)

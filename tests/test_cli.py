@@ -64,13 +64,21 @@ def weak_then_strong_stream() -> SampleStream:
 
 
 @pytest.mark.parametrize("max_peel,strongest_only", [(1, False), (2, True)])
-def test_run_cancel_numbers_tracks_across_passes(max_peel, strongest_only):
+def test_track_csv_numbers_tracks_across_passes(tmp_path, max_peel, strongest_only):
+    """The track CSV numbers the tracks of both passes 0..T-1 in pass order, with no gap."""
+    src, out = tmp_path / "in.iq", tmp_path / "tracks.csv"
+    write_iq(weak_then_strong_stream(), src, IqFormat.FLOAT32)
+    assert run(["cancel", "--in", str(src), "--rate", RATE, "--max-peel", str(max_peel),
+                "--threshold-db", "20", *(["--strongest-only"] if strongest_only else []),
+                "--passes", "2", "--out-residual", str(tmp_path / "resid.iq"),
+                "--out-tracks", str(out)]) == 0
     config = StsaConfig(max_peel=max_peel, detect_threshold_db=20.0)
-    result = run_cancel(weak_then_strong_stream(), config, passes=2,
-                        strongest_only=strongest_only)
+    result = run_cancel(read_iq(src, IqFormat.FLOAT32, 2048000.0), config, passes=2,
+                        strongest_only=strongest_only, inter_pass_format=IqFormat.FLOAT32)
     assert all(result.tracks_per_pass)
-    ids = [trk.signal_id for tracks in result.tracks_per_pass for trk in tracks]
-    assert ids == list(range(len(ids)))
+    lengths = [len(rows) for tracks in result.tracks_per_pass for rows in tracks]
+    ids = np.loadtxt(out, delimiter=",", skiprows=1, usecols=0, dtype=int, ndmin=1)
+    assert ids.tolist() == np.repeat(np.arange(len(lengths)), lengths).tolist()
 
 
 def test_strongest_only_passes_write_distinct_ids(tmp_path):
@@ -513,6 +521,36 @@ class TestParameterErrors:
         resid = tmp_path / "r.iq"
         self.expect_error(capsys, ["cancel", "--in", str(tmp_path / "missing.iq"), "--rate", RATE,
                                    setting, "--out-residual", str(resid)], message, [resid])
+
+    @pytest.mark.parametrize("argv,message", [
+        (["cancel", "--band", "5", "1"], "band (5.0, 1.0) is not increasing"),
+        (["cancel", "--band", "0", "2e6"], "band (0.0, 2000000.0) is not increasing"),
+        (["cancel", "--rate=nan"], "sample_rate_hz must be positive and finite"),
+        (["analyze", "--suppression", "--band", "5", "1"], "band (5.0, 1.0) is not increasing"),
+        (["analyze", "--suppression", "--band", "1", "5", "--rate=0"],
+         "sample_rate_hz must be positive and finite"),
+        (["analyze", "--spectrum", "--rate=nan"], "sample_rate_hz must be positive and finite"),
+    ])
+    def test_rate_and_band_checked_before_the_input_is_read(self, tmp_path, capsys, argv,
+                                                            message):
+        missing, out = str(tmp_path / "missing.iq"), tmp_path / "out"
+        files = {"cancel": ["--in", missing, "--out-residual", str(out)],
+                 "analyze": ["--in", missing, "--before", missing, "--after", missing,
+                             "--out", str(out)]}
+        self.expect_error(capsys, [argv[0], "--rate", RATE, *files[argv[0]], *argv[1:]],
+                          message, [out])
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--mod-noise-bw", "nan"], "mod_noise_bw_hz must be positive"),
+        (["--dev", "nan"], "deviation_hz must be nonnegative"),
+        (["--amp", "nan"], "amp must be positive"),
+        (["--mod-tone", "1000:nan"], r"modulating tone amplitudes must lie in [0, 1]"),
+    ])
+    def test_generate_nbfm_nan_setting(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.iq"
+        self.expect_error(capsys, ["generate", "--nbfm", "--rate", RATE, "--n", "4096", *flags,
+                                   "--out", str(out)], message,
+                          [out, tmp_path / "x.iq.truth.csv"])
 
     @pytest.mark.parametrize("exists", [True, False])
     def test_cancel_report_needs_band(self, tmp_path, capsys, exists):

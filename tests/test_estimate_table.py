@@ -54,7 +54,7 @@ def test_pipeline_builds_no_per_estimate_objects(monkeypatch, tmp_path):
     monkeypatch.setattr(blockproc, "BlockEstimates", refuse)
     result = run_cancel(fm_stream(1.0), FM_CONFIG)
     table, tracks = result.blocks_per_pass[0], result.tracks_per_pass[0]
-    write_tracks_csv(tracks, tmp_path / "tracks.csv")
+    write_tracks_csv([(table, tracks)], tmp_path / "tracks.csv")
     assert (len(table), table.freq_hz.size, len(tracks)) == (8000, 15478, 43)
     with pytest.raises(AssertionError, match="per-estimate"):
         table[0]  # the stubs were in place

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from stsa.blockproc import SinusoidEstimate, StsaConfig, process_stream
 from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm
-from stsa.synthesis import Track, assemble_tracks
+from stsa.synthesis import assemble_tracks
 from table_helpers import estimates_table
 
 RATE = 2048000.0
@@ -44,18 +44,12 @@ def all_pairs_assemble(estimates, config, sample_rate_hz, jump_limit_bins):
         members[best].append(row)
         ends[best] = freq, block
         taken.add(best)
-    columns = (estimates.block_index, estimates.peel_rank, estimates.amp, estimates.freq_hz,
-               estimates.phase_rad, estimates.t_center_s)
-    return [Track(signal_id, *(c[rows] for c in columns))
-            for signal_id, rows in enumerate(members)]
+    return members
 
 
 def assert_same_tracks(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.signal_id == b.signal_id
-        for name in ("block_index", "peel_rank", "amp", "freq_hz", "phase_rad", "t_center_s"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert all(rows.dtype == np.intp for rows in got)
+    assert [rows.tolist() for rows in got] == want
 
 
 @pytest.fixture(scope="module")
@@ -96,12 +90,26 @@ def test_small_tables_match_all_pairs(case):
                        all_pairs_assemble(table, config, RATE, jump_limit_bins))
 
 
+@settings(max_examples=400)
+@given(small_tables())
+def test_tracks_partition_the_table_rows(case):
+    """Each row is in exactly one track, blocks strictly increase along a track,
+    and the tracks are listed in the order their first rows appear."""
+    table, jump_limit_bins = case
+    tracks = assemble_tracks(table, StsaConfig(), RATE, jump_limit_bins)
+    rows = np.concatenate([np.zeros(0, np.intp), *tracks])
+    assert np.sort(rows).tolist() == list(range(table.freq_hz.size))
+    assert all(np.all(np.diff(table.block_index[t]) > 0) for t in tracks)
+    assert all(np.diff([t[0] for t in tracks]) > 0)
+
+
 def test_tie_goes_to_the_track_opened_first():
     # tracks 0 and 1 end 1 kHz above and below the block-2 estimate; track 0 wins
     rows = [SinusoidEstimate(1.0, f, 0.0, b, 0.0, r)
             for b, r, f in [(0, 0, 11000.0), (0, 1, 9000.0), (2, 0, 10000.0)]]
-    tracks = assemble_tracks(estimates_table(rows), StsaConfig(), RATE)
-    assert [t.freq_hz.tolist() for t in tracks] == [[11000.0, 10000.0], [9000.0]]
+    table = estimates_table(rows)
+    tracks = assemble_tracks(table, StsaConfig(), RATE)
+    assert [table.freq_hz[t].tolist() for t in tracks] == [[11000.0, 10000.0], [9000.0]]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

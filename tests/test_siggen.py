@@ -317,6 +317,16 @@ class TestInputChecks:
         ({"mod_noise_bw_hz": 0.0}, "mod_noise_bw_hz must be positive"),
         ({"mod_noise_bw_hz": 1000.0, "mod_noise_rms": 1.0}, r"mod_noise_rms must lie in \(0, 1\)"),
         ({"mod_noise_bw_hz": 1000.0, "mod_noise_rms": 0.0}, r"mod_noise_rms must lie in \(0, 1\)"),
+        # NaN fails every comparison, so each check must be written to fail on it
+        ({"deviation_hz": np.nan}, "deviation_hz must be nonnegative"),
+        ({"duration_s": np.nan}, "duration_s must be positive"),
+        ({"amp": np.nan}, "amp must be positive"),
+        ({"mod_tones": ((1000.0, np.nan),)}, r"modulating tone amplitudes must lie in \[0, 1\]"),
+        ({"mod_tones": ((1000.0, 0.5), (2000.0, np.nan))},
+         r"modulating tone amplitudes must lie in \[0, 1\]"),
+        ({"mod_noise_bw_hz": np.nan}, "mod_noise_bw_hz must be positive"),
+        ({"mod_noise_bw_hz": 1000.0, "mod_noise_rms": np.nan},
+         r"mod_noise_rms must lie in \(0, 1\)"),
     ])
     def test_nbfm_spec(self, changes, message):
         fields = {"carrier_offset_hz": 0.0, "deviation_hz": 4000.0, "duration_s": 0.01, **changes}

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stsa import synthesis
-from stsa.blockproc import SinusoidEstimate, StsaConfig, process_stream
+from stsa.blockproc import Estimates, SinusoidEstimate, StsaConfig, process_stream
 from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm, mix
-from stsa.synthesis import Track, assemble_tracks, combine_waveforms, synthesize
+from stsa.synthesis import assemble_tracks, combine_waveforms, synthesize
 import table_helpers
 
 RATE = 2048000.0
@@ -31,9 +31,10 @@ def _tone_at(est: SinusoidEstimate, sample_indices: np.ndarray, center_index: fl
 
 
 def slice_synthesize(
-    tracks: list[Track],
+    tracks: list[np.ndarray],
     stream_meta: tuple[int, float, float],
     config: StsaConfig,
+    table: Estimates,
 ) -> np.ndarray:
     """Render every track, summed in list order, into one waveform on the stream's grid.
 
@@ -58,7 +59,7 @@ def slice_synthesize(
         out[lo : lo + values.size] += values
 
     for track in tracks:
-        entries = table_helpers.entries(track)
+        entries = table_helpers.entries(table, track)
         if not entries:
             raise ValueError("cannot synthesize an empty track")
         for i, e in enumerate(entries):
@@ -82,9 +83,10 @@ def slice_synthesize(
 
 
 def oracle_synthesize(
-    track: Track,
+    track: np.ndarray,
     stream_meta: tuple[int, float, float],
     config: StsaConfig,
+    table: Estimates,
 ) -> np.ndarray:
     """Render one track into a waveform on the stream's sample grid.
 
@@ -109,7 +111,7 @@ def oracle_synthesize(
         if lo < hi:
             out[lo:hi] = values[: hi - lo]
 
-    entries = table_helpers.entries(track)
+    entries = table_helpers.entries(table, track)
     first, last = entries[0], entries[-1]
 
     # Leading half-block: nearest (first) estimate, unblended.
@@ -147,30 +149,32 @@ def oracle_synthesize(
     return out
 
 
-def assert_matches_oracle(tracks, meta, config):
-    got = slice_synthesize(tracks, meta, config)
+def assert_matches_oracle(tracks, meta, config, table):
+    got = slice_synthesize(tracks, meta, config, table)
     # a generator keeps one per-track buffer alive at a time
-    want = combine_waveforms((oracle_synthesize(t, meta, config) for t in tracks), meta[0])
+    want = combine_waveforms((oracle_synthesize(t, meta, config, table) for t in tracks),
+                             meta[0])
     assert got.tobytes() == want.tobytes()
 
 
-def assert_close_to_slices(tracks, meta, config):
+def assert_close_to_slices(tracks, meta, config, table):
     """Exact zeros in the same places; samples within 4*N*eps of the summed track peaks.
 
     The phase argument 2*pi*f*dt of either renderer reaches pi*N radians, so
     each rounds to about N*eps relative.
     """
-    got = synthesize(tracks, meta, config)
-    want = slice_synthesize(tracks, meta, config)
+    got = synthesize(tracks, meta, config, table)
+    want = slice_synthesize(tracks, meta, config, table)
     assert np.array_equal(got == 0, want == 0)
-    scale = sum(t.amp.max() for t in tracks)
+    scale = sum(table.amp[t].max() for t in tracks)
     bound = 4 * config.block_len_n * 2.0**-52 * scale
     assert np.abs(got - want).max(initial=0.0) <= bound
 
 
 def stream_tracks(stream, config):
+    """(tracks, table) of one pass over the stream."""
     blocks = process_stream(stream, config)
-    return assemble_tracks(blocks, config, stream.sample_rate_hz)
+    return assemble_tracks(blocks, config, stream.sample_rate_hz), blocks
 
 
 def test_acceptance_fm_scenario():
@@ -179,10 +183,10 @@ def test_acceptance_fm_scenario():
     clean, _ = gen_nbfm(spec, RATE)
     noisy = add_awgn(clean, 34.0, spec.carson_band_hz(), 99)
     config = StsaConfig(detect_threshold_db=9.0, max_peel=3)
-    tracks = stream_tracks(noisy, config)
+    tracks, table = stream_tracks(noisy, config)
     assert len(tracks) == 43
-    assert_matches_oracle(tracks, (len(noisy), RATE, 0.0), config)
-    assert_close_to_slices(tracks, (len(noisy), RATE, 0.0), config)
+    assert_matches_oracle(tracks, (len(noisy), RATE, 0.0), config, table)
+    assert_close_to_slices(tracks, (len(noisy), RATE, 0.0), config, table)
 
 
 def test_three_station_mixture():
@@ -196,10 +200,10 @@ def test_three_station_mixture():
     snr_arg = 34.0 + 10 * np.log10(mixed.power() / streams[0].power())
     noisy = add_awgn(mixed, snr_arg, (-30000.0, -20000.0), 44)
     config = StsaConfig(detect_threshold_db=12.0)
-    tracks = stream_tracks(noisy, config)
+    tracks, table = stream_tracks(noisy, config)
     assert sum(1 for t in tracks if len(t) > len(noisy) // (2 * config.block_len_n)) == 3
-    assert_matches_oracle(tracks, (len(noisy), RATE, 0.0), config)
-    assert_close_to_slices(tracks, (len(noisy), RATE, 0.0), config)
+    assert_matches_oracle(tracks, (len(noisy), RATE, 0.0), config, table)
+    assert_close_to_slices(tracks, (len(noisy), RATE, 0.0), config, table)
 
 
 @st.composite
@@ -212,16 +216,16 @@ def scenarios(draw):
     n_blocks = draw(st.integers(1, 12))
     length = draw(st.integers(0, (n_blocks - 1) * config.hop + n + 5))
     values = st.floats(-1e3, 1e3, allow_nan=False)
-    tracks = []
-    for signal_id in range(draw(st.integers(0, 4))):
+    entry_lists = []
+    for _ in range(draw(st.integers(0, 4))):
         indices = sorted(draw(st.sets(st.integers(0, n_blocks - 1), min_size=1)))
-        entries = tuple(
+        entry_lists.append(tuple(
             SinusoidEstimate(draw(st.floats(0.0, 10.0)), draw(values) * 1e3, draw(values),
                              b, (b * config.hop + (n - 1) / 2) / RATE, 0)
             for b in indices
-        )
-        tracks.append(table_helpers.track(entries, signal_id))
-    return tracks, (length, RATE, 0.0), config
+        ))
+    table, tracks = table_helpers.tracks_table(entry_lists)
+    return tracks, (length, RATE, 0.0), config, table
 
 
 @settings(max_examples=300)
@@ -240,17 +244,17 @@ def wide_scenarios(draw):
     config = StsaConfig(block_len_n=n, overlap=overlap)
     n_blocks = draw(st.integers(1, 6))
     length = draw(st.integers(0, (n_blocks - 1) * config.hop + n + 5))
-    tracks = []
-    for signal_id in range(draw(st.integers(0, 3))):
+    entry_lists = []
+    for _ in range(draw(st.integers(0, 3))):
         indices = sorted(draw(st.sets(st.integers(0, n_blocks - 1), min_size=1)))
-        entries = tuple(
+        entry_lists.append(tuple(
             SinusoidEstimate(draw(st.floats(1e-6, 1e3)), draw(st.floats(-RATE / 2, RATE / 2)),
                              draw(st.floats(-np.pi, np.pi)), b,
                              (b * config.hop + (n - 1) / 2) / RATE, 0)
             for b in indices
-        )
-        tracks.append(table_helpers.track(entries, signal_id))
-    return tracks, (length, RATE, 0.0), config
+        ))
+    table, tracks = table_helpers.tracks_table(entry_lists)
+    return tracks, (length, RATE, 0.0), config, table
 
 
 @settings(max_examples=200)
@@ -267,23 +271,24 @@ def test_properties_run_under_the_deterministic_profile():
 
 
 def test_no_tracks_render_zeros():
-    wave = synthesize([], (100, RATE, 0.0), StsaConfig())
+    wave = synthesize([], (100, RATE, 0.0), StsaConfig(), table_helpers.estimates_table([]))
     assert wave.tobytes() == np.zeros(100, np.complex128).tobytes()
 
 
 def test_empty_track_rejected_anywhere_in_list():
     config = StsaConfig(block_len_n=8)
-    full = table_helpers.track((SinusoidEstimate(1.0, 0.0, 0.0, 0, 0.0, 0),), 0)
-    for tracks in ([table_helpers.track((), 0)], [full, table_helpers.track((), 1)]):
+    full = (SinusoidEstimate(1.0, 0.0, 0.0, 0, 0.0, 0),)
+    for entry_lists in ([()], [full, ()]):
+        table, tracks = table_helpers.tracks_table(entry_lists)
         with pytest.raises(ValueError, match="empty track"):
-            synthesize(tracks, (64, RATE, 0.0), config)
+            synthesize(tracks, (64, RATE, 0.0), config, table)
 
 
 def test_negative_block_index_rejected():
     config = StsaConfig(block_len_n=8)
-    track = table_helpers.track((SinusoidEstimate(1.0, 0.0, 0.0, -1, 0.0, 0),), 0)
+    table, tracks = table_helpers.tracks_table([(SinusoidEstimate(1.0, 0.0, 0.0, -1, 0.0, 0),)])
     with pytest.raises(ValueError, match="block_index must be non-negative"):
-        synthesize([track], (64, RATE, 0.0), config)
+        synthesize(tracks, (64, RATE, 0.0), config, table)
 
 
 @pytest.mark.parametrize("n,overlap", [(16, "none"), (15, "none"), (16, "half")])
@@ -296,15 +301,14 @@ def test_chunk_size_does_not_change_the_sum(monkeypatch, n, overlap):
     config = StsaConfig(block_len_n=n, overlap=overlap)
     rng = np.random.default_rng(11)
     spans = [range(0, 40), [*range(1, 17), *range(19, 38)], range(3, 40), range(0, 40, 2)]
-    tracks = [
-        table_helpers.track(tuple(
-            SinusoidEstimate(rng.uniform(0.1, 2.0), rng.uniform(-RATE / 4, RATE / 4),
-                             rng.uniform(-np.pi, np.pi), b, 0.0, 0) for b in blocks), i)
-        for i, blocks in enumerate(spans)]
+    table, tracks = table_helpers.tracks_table([
+        tuple(SinusoidEstimate(rng.uniform(0.1, 2.0), rng.uniform(-RATE / 4, RATE / 4),
+                               rng.uniform(-np.pi, np.pi), b, 0.0, 0) for b in blocks)
+        for blocks in spans])
     meta = (39 * config.hop + n, RATE, 0.0)
     monkeypatch.setattr(synthesis, "_CHUNK_SAMPLES", 2**30)  # one pass per track
-    want = synthesize(tracks, meta, config)
+    want = synthesize(tracks, meta, config, table)
     for entries in (1, 2, 3, 7, 16):
         monkeypatch.setattr(synthesis, "_CHUNK_SAMPLES", entries * config.hop)
-        got = synthesize(tracks, meta, config)
+        got = synthesize(tracks, meta, config, table)
         assert got.tobytes() == want.tobytes()

@@ -8,7 +8,7 @@ from stsa.iq import SampleStream
 from stsa.siggen import add_awgn, gen_tone, mix
 from stsa.synthesis import assemble_tracks, cancel, combine_waveforms, synthesize, write_tracks_csv
 import table_helpers
-from table_helpers import estimates_table, track
+from table_helpers import estimates_table, tracks_table
 
 RATE = 2048000.0
 N = 256
@@ -23,14 +23,10 @@ def blocks_from(estimates_by_block):
     return estimates_table([e for _, ests in sorted(estimates_by_block.items()) for e in ests])
 
 
-class TestTrackType:
-    def test_indices_must_increase(self):
-        with pytest.raises(ValueError, match="increasing"):
-            track((est(3, 0.0), est(3, 0.0)), 0)
-
-    def test_energy(self):
-        t = track((est(0, 0.0, amp=2.0), est(1, 0.0, amp=1.0)), 0)
-        assert t.total_energy() == 5.0
+def render(entries, stream_meta, config):
+    """synthesize one track made of the entries."""
+    table, tracks = tracks_table([entries])
+    return synthesize(tracks, stream_meta, config, table)
 
 
 class TestAssembleTracks:
@@ -52,9 +48,9 @@ class TestAssembleTracks:
         big = [t for t in tracks if len(t) >= 45]
         assert len(big) == 2
         for trk in big:
-            freqs = trk.freq_hz
+            freqs = blocks.freq_hz[trk]
             assert np.ptp(freqs) < 100.0, "track mixes frequencies"
-        medians = sorted(np.median(t.freq_hz) for t in big)
+        medians = sorted(np.median(blocks.freq_hz[t]) for t in big)
         assert abs(medians[0] + 50000.0) < 100
         assert abs(medians[1] - 50000.0) < 100
 
@@ -95,7 +91,12 @@ class TestAssembleTracks:
 class TestSynthesize:
     def test_empty_track_rejected(self):
         with pytest.raises(ValueError):
-            synthesize([track((), 0)], (1024, RATE, 0.0), StsaConfig())
+            render((), (1024, RATE, 0.0), StsaConfig())
+
+    @pytest.mark.parametrize("blocks", [(3, 3), (4, 3), (0, 2, 1)])
+    def test_block_indices_must_increase(self, blocks):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            render(tuple(est(b, 0.0) for b in blocks), (8 * N, RATE, 0.0), StsaConfig())
 
     def test_block_center_anchor_odd_n(self):
         # Odd block length puts centers on the sample grid; there the blend
@@ -106,7 +107,7 @@ class TestSynthesize:
         for b in range(4):
             t_center = (b * n_odd + (n_odd - 1) / 2) / RATE
             entries.append(SinusoidEstimate(0.8, 70000.0, 0.3 + 0.1 * b, b, t_center, 0))
-        wave = synthesize([track(entries, 0)], (4 * n_odd, RATE, 0.0), cfg)
+        wave = render(entries, (4 * n_odd, RATE, 0.0), cfg)
         for b in range(4):
             center_idx = b * n_odd + (n_odd - 1) // 2
             expected = 0.8 * np.exp(1j * (0.3 + 0.1 * b))
@@ -118,7 +119,7 @@ class TestSynthesize:
         blocks = process_stream(stream, cfg)
         tracks = assemble_tracks(blocks, cfg, RATE)
         assert len(tracks) == 1
-        wave = synthesize(tracks[:1], (len(stream), RATE, 0.0), cfg)
+        wave = synthesize(tracks[:1], (len(stream), RATE, 0.0), cfg, blocks)
         assert wave.all()
         residual = cancel(stream, wave)
         ratio = residual.power() / stream.power()
@@ -131,7 +132,7 @@ class TestSynthesize:
             cfg = StsaConfig(max_peel=1, overlap=overlap)
             blocks = process_stream(stream, cfg)
             tracks = assemble_tracks(blocks, cfg, RATE)
-            wave = synthesize(tracks[:1], (len(stream), RATE, 0.0), cfg)
+            wave = synthesize(tracks[:1], (len(stream), RATE, 0.0), cfg, blocks)
             powers[overlap] = cancel(stream, wave).power()
         assert powers["half"] <= powers["none"] + 1e-16
 
@@ -142,7 +143,7 @@ class TestSynthesize:
         amp = 1.0
         entries = (est(0, f, amp, 0.0), est(1, f, amp, 0.1))
         cfg = StsaConfig()
-        wave = synthesize([track(entries, 0)], (2 * N, RATE, 0.0), cfg)
+        wave = render(entries, (2 * N, RATE, 0.0), cfg)
         assert wave.all()
         jumps = np.abs(np.diff(wave))
         tone_rotation = 2 * amp * abs(np.sin(np.pi * f / RATE))
@@ -161,16 +162,16 @@ class TestSynthesize:
         cfg = StsaConfig(detect_threshold_db=9.0, max_peel=3)
         blocks = process_stream(noisy, cfg)
         tracks = assemble_tracks(blocks, cfg, RATE)
-        main = max(tracks, key=lambda t: t.total_energy())
-        wave = synthesize([main], (len(noisy), RATE, 0.0), cfg)
-        amp_max = main.amp.max()
+        main = max(tracks, key=lambda rows: sum(a**2 for a in blocks.amp[rows].tolist()))
+        wave = synthesize([main], (len(noisy), RATE, 0.0), cfg, blocks)
+        amp_max = blocks.amp[main].max()
         ideal_step = 2 * amp_max * np.sin(np.pi * 5000.0 / RATE)
         assert np.abs(np.diff(wave)).max() <= 3 * ideal_step
 
     def test_gap_wider_than_one_block_zero_filled(self):
         entries = (est(0, 50000.0), est(3, 50000.0))
         stream, _ = gen_tone(1.0, 1000.0, 0.0, 4 * N, RATE)
-        wave = synthesize([track(entries, 0)], (len(stream), RATE, 0.0), StsaConfig())
+        wave = render(entries, (len(stream), RATE, 0.0), StsaConfig())
         # each entry renders its own block; the two missing blocks are exact zeros
         assert wave[:N].all() and wave[3 * N :].all()
         assert wave[N : 3 * N].tobytes() == np.zeros(2 * N, complex).tobytes()
@@ -179,13 +180,13 @@ class TestSynthesize:
 
     def test_adjacent_blocks_blend_continuously(self):
         entries = (est(0, 50000.0), est(1, 50080.0))
-        wave = synthesize([track(entries, 0)], (2 * N, RATE, 0.0), StsaConfig())
+        wave = render(entries, (2 * N, RATE, 0.0), StsaConfig())
         assert wave.all()
 
     def test_leading_and_trailing_edges_unblended(self):
         entries = (est(2, 40000.0, amp=0.5, phase=1.0),)
         stream, _ = gen_tone(1.0, 1000.0, 0.0, 5 * N, RATE)
-        wave = synthesize([track(entries, 0)], (len(stream), RATE, 0.0), StsaConfig())
+        wave = render(entries, (len(stream), RATE, 0.0), StsaConfig())
         # a lone entry renders its own block at its amplitude, exact zeros elsewhere
         np.testing.assert_allclose(np.abs(wave[2 * N : 3 * N]), 0.5, rtol=1e-12)
         outside = np.r_[: 2 * N, 3 * N : 5 * N]
@@ -238,37 +239,54 @@ def test_combine_waveforms():
 
 
 def test_tracks_csv(tmp_path):
-    tracks = [track((est(0, 1000.0), est(1, 1000.0)), 0), track((est(5, -2000.0),), 1)]
+    table, tracks = tracks_table([(est(0, 1000.0), est(1, 1000.0)), (est(5, -2000.0),)])
     path = tmp_path / "tracks.csv"
-    write_tracks_csv(tracks, path)
+    write_tracks_csv([(table, tracks)], path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "signal_id,block_index,t_center_s,peel_rank,amp,freq_hz,phase_rad"
     assert len(lines) == 4
     assert lines[3].startswith("1,5,")
 
 
-def fstring_tracks_csv(tracks, path):
+def fstring_tracks_csv(passes, path):
     """The earlier per-entry f-string writer, kept as the byte-level oracle."""
     with open(path, "w") as fh:
         fh.write("signal_id,block_index,t_center_s,peel_rank,amp,freq_hz,phase_rad\n")
-        for trk in tracks:
-            for e in table_helpers.entries(trk):
-                fh.write(
-                    f"{trk.signal_id},{e.block_index},{e.t_center_s:.9f},{e.peel_rank},"
-                    f"{e.amp:.9g},{e.freq_hz:.6f},{e.phase_rad:.9f}\n"
-                )
+        signal_id = 0
+        for table, tracks in passes:
+            for rows in tracks:
+                for e in table_helpers.entries(table, rows):
+                    fh.write(
+                        f"{signal_id},{e.block_index},{e.t_center_s:.9f},{e.peel_rank},"
+                        f"{e.amp:.9g},{e.freq_hz:.6f},{e.phase_rad:.9f}\n"
+                    )
+                signal_id += 1
+
+
+def test_tracks_csv_numbers_tracks_across_passes(tmp_path):
+    """Ids run 0..T-1 over the passes in order, whatever each pass's table holds."""
+    passes = [tracks_table([(est(0, 1.0), est(1, 1.0)), (est(1, 2.0),), (est(4, 3.0),)]),
+              tracks_table([(est(2, 4.0),), (est(0, 5.0), est(3, 5.0))]),
+              tracks_table([]),
+              tracks_table([(), (est(7, 6.0, rank=1),)])]
+    write_tracks_csv(iter(passes), tmp_path / "fast.csv")
+    rows = np.loadtxt(tmp_path / "fast.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows[:, 0].astype(int).tolist() == [0, 0, 1, 2, 3, 4, 4, 6]
+    assert rows[:, 5].tolist() == [1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 5.0, 6.0]
+    fstring_tracks_csv(passes, tmp_path / "oracle.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 @pytest.mark.parametrize("tracks", [
-    [track((est(0, 1000.0), est(1, 1000.0, rank=2)), 0), track((est(5, -2000.0),), 1),
-     track((), 2), track((est(7, 3.5, amp=0.25),), 11)],
+    [(est(0, 1000.0), est(1, 1000.0, rank=2)), (est(5, -2000.0),), (), (est(7, 3.5, amp=0.25),)],
     [],
-    [track((est(3, -123456.789, phase=-0.0), est(4, -0.0, phase=-3.141592653589793)), 4)],
-    [track(tuple(est(b, 1e5, amp=a) for b, a in
-                 enumerate([1e-12, 1.23456789e11, 5e-324, 2.5e-320, 0.0])), 0)],
-    [track((est(0, 82000.0, amp=float("inf")),), 0)],
+    [(est(3, -123456.789, phase=-0.0), est(4, -0.0, phase=-3.141592653589793))],
+    [tuple(est(b, 1e5, amp=a) for b, a in
+           enumerate([1e-12, 1.23456789e11, 5e-324, 2.5e-320, 0.0]))],
+    [(est(0, 82000.0, amp=float("inf")),)],
 ])
 def test_tracks_csv_matches_fstring_writer(tmp_path, tracks):
-    write_tracks_csv(tracks, tmp_path / "fast.csv")
-    fstring_tracks_csv(tracks, tmp_path / "oracle.csv")
+    passes = [tracks_table(tracks)]
+    write_tracks_csv(passes, tmp_path / "fast.csv")
+    fstring_tracks_csv(passes, tmp_path / "oracle.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
