@@ -14,13 +14,17 @@ independent, so an iterative peel loop processes a whole batch of them at once:
 
 Times t_k are referenced to the block center, so each estimate's phase is the
 carrier phase at the center of its block.  process_stream returns every
-estimate of a stream as one columnar Estimates table.
+estimate of a stream as one columnar Estimates table.  It runs the batches on a
+pool of one thread per available CPU and assumes a single-threaded BLAS; a block's
+values do not depend on its batch, so the batch size and thread count change none.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -220,9 +224,9 @@ def apply_window(block: np.ndarray, window: str) -> np.ndarray:
 
 def _normalize(rows: np.ndarray):
     """Rows scaled by 2**-e so each largest part lies in [0.5, 1) (exact), and e."""
-    parts = np.array(rows, dtype=np.complex128, ndmin=2).view(np.float64)
-    exps = np.frexp(np.abs(parts).max(axis=1))[1]
-    return np.ldexp(parts, -exps[:, None]).view(np.complex128), exps
+    parts = np.array(rows, dtype=np.complex128, ndmin=2).view(np.float64)  # a copy
+    exps = np.frexp(np.maximum(parts.max(axis=1), -parts.min(axis=1)))[1]
+    return np.ldexp(parts, -exps[:, None], out=parts).view(np.complex128), exps
 
 
 def _detect_rows(windowed: np.ndarray, threshold_db: float):
@@ -315,8 +319,9 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
         windowed = work * w
         bins, _, floor, hit = _detect_rows(windowed, config.detect_threshold_db)
         hit &= rank < config.max_peel
-        out[:, active[~hit]] = np.mean(np.abs(work[~hit]) ** 2, axis=1), floor[~hit]
-        active, work, windowed, bins = active[hit], work[hit], windowed[hit], bins[hit]
+        if not hit.all():
+            out[:, active[~hit]] = np.mean(np.abs(work[~hit]) ** 2, axis=1), floor[~hit]
+            active, work, windowed, bins = active[hit], work[hit], windowed[hit], bins[hit]
         if not active.size:
             break
         coarse = bins * sample_rate_hz / n  # FFT bin center in baseband Hz
@@ -324,9 +329,13 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
         # the mixer depends only on the coarse bin: one row per distinct bin
         bin_hz, row_of = np.unique(coarse, return_inverse=True)
         mixer = np.exp(-2j * np.pi * bin_hz[:, None] * _centered_times(n, sample_rate_hz))[row_of]
-        corr = (windowed * mixer) @ bank.T
-        best = np.argmax(np.abs(corr), axis=1)
+        np.multiply(windowed, mixer, out=windowed)
+        # one row would take the matrix-vector path, which sums in another order
+        corr = (windowed if active.size > 1 else np.repeat(windowed, 2, axis=0)) @ bank.T
+        del windowed
+        best = np.argmax(np.abs(corr[: active.size]), axis=1)
         c = corr[np.arange(active.size), best] / n
+        del corr
         freq = coarse + offsets_hz[best]
         phase = wrap_phase(np.angle(c))
         # fold the search overshoot at the Nyquist edge back into the principal
@@ -334,7 +343,11 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
         fold = np.abs(freq) >= sample_rate_hz / 2
         freq[fold] -= np.sign(freq[fold]) * sample_rate_hz
         phase[fold] = wrap_phase(phase[fold] + np.pi * ((n - 1) % 2))
-        work -= (c / w_mean)[:, None] * np.conj(mixer * bank[best])
+        # fixed operand orders: numpy would swap those of a large temporary's product
+        tone = np.multiply(bank[best], mixer, out=mixer)
+        np.conjugate(tone, out=tone)
+        work -= np.multiply((c / w_mean)[:, None], tone, out=tone)
+        del mixer, tone
         amp = np.ldexp(np.abs(c) / w_mean, exps[active])
         rounds.append((active, np.full(active.size, rank), amp, freq, phase))
     row, rank, amp, freq, phase = (np.concatenate(c) for c in zip(*rounds))
@@ -361,8 +374,14 @@ def estimate_block(block: np.ndarray, config: StsaConfig, sample_rate_hz: float)
     return _estimate_blocks(block.reshape(1, -1), config, sample_rate_hz, np.zeros(1), 0)[0]
 
 
-# Samples per batch: blocks enough to amortize a round, few enough that its temporaries stay in cache.
-_BATCH_SAMPLES = 2**18
+# Samples in flight, split evenly among the pool's threads: the working set is fixed.
+_POOL_SAMPLES = 2**18
+
+
+def worker_count(jobs: int) -> int:
+    """Threads for `jobs` independent jobs: one per CPU this process may run on, at most jobs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, jobs))
 
 
 def process_stream(stream: SampleStream, config: StsaConfig) -> Estimates:
@@ -372,9 +391,11 @@ def process_stream(stream: SampleStream, config: StsaConfig) -> Estimates:
         return _estimate_blocks(np.zeros((0, n)), config, rate, np.zeros(0), 0)
     blocks = sliding_window_view(stream.samples, n)[::hop]
     t_centers = stream.t0_s + (np.arange(len(blocks)) * hop + (n - 1) / 2.0) / rate
-    batch = max(1, _BATCH_SAMPLES // n)
-    tables = [_estimate_blocks(blocks[first : first + batch], config, rate,
-                               t_centers[first : first + batch], first)
-              for first in range(0, len(blocks), batch)]
+    workers = worker_count(len(blocks))
+    batch = max(1, _POOL_SAMPLES // (workers * n))
+    with ThreadPoolExecutor(workers) as pool:
+        tables = list(pool.map(lambda i: _estimate_blocks(
+            blocks[i : i + batch], config, rate, t_centers[i : i + batch], i),
+            range(0, len(blocks), batch)))
     columns = zip(*(vars(t).values() for t in tables))  # each field across the batches
     return Estimates(*map(np.concatenate, columns))

@@ -3,6 +3,7 @@
 All numeric outputs are CSV with fixed column orders (see --help of each
 subcommand); IQ files are raw interleaved binaries handled by stsa.iq.
 Exit codes: 0 success, 2 usage or parameter error, 1 runtime (I/O) error.
+`cancel` writes its output files and computes its report concurrently.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import argparse
 import dataclasses
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
-from . import iq, metrics, pipeline, siggen, synthesis
+from . import blockproc, iq, metrics, pipeline, siggen, synthesis
 from .blockproc import OVERLAP_MODES, StsaConfig
 from .iq import IqFormat
 
@@ -200,14 +202,18 @@ def cmd_cancel(args) -> int:
         jump_limit_bins=args.jump_limit,
         inter_pass_format=fmt,
     )
-    iq.write_iq(result.residual, args.out_residual, fmt)
+    # The jobs only read the input and the residual, so they run concurrently, the report
+    # (the longest) first.  Results are read in list order: the first failing job's error wins.
+    jobs = [lambda: metrics.suppression_report(stream, result.residual, band)] if band else []
+    jobs.append(lambda: iq.write_iq(result.residual, args.out_residual, fmt))
     if args.out_estimate:
-        iq.write_iq(stream, args.out_estimate, fmt, minus=result.residual)
+        jobs.append(lambda: iq.write_iq(stream, args.out_estimate, fmt, minus=result.residual))
     if args.out_tracks:
-        synthesis.write_tracks_csv(zip(result.blocks_per_pass, result.tracks_per_pass),
-                                   args.out_tracks)
+        jobs.append(lambda: synthesis.write_tracks_csv(
+            zip(result.blocks_per_pass, result.tracks_per_pass), args.out_tracks))
+    with ThreadPoolExecutor(blockproc.worker_count(len(jobs))) as pool:
+        report, *_ = [f.result() for f in [pool.submit(job) for job in jobs]]
     if band:
-        report = metrics.suppression_report(stream, result.residual, band)
         print(metrics.format_report(report))
         if args.report:
             metrics.write_report_csv(report, args.report)

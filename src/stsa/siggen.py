@@ -73,15 +73,19 @@ class NbfmSpec:
     mod_noise_rms: float | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.carrier_offset_hz):
+            raise ValueError("carrier_offset_hz must be finite")
         if not self.deviation_hz >= 0:  # each check is written so that NaN fails it
             raise ValueError("deviation_hz must be nonnegative")
-        if not self.duration_s > 0:
-            raise ValueError("duration_s must be positive")
-        if not self.amp > 0:
-            raise ValueError("amp must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError("duration_s must be positive and finite")
+        if not 0 < self.amp < math.inf:
+            raise ValueError("amp must be positive and finite")
         if self.mod_tones and self.mod_noise_bw_hz is not None:
             raise ValueError("choose tone modulation or noise modulation, not both")
         if self.mod_tones:
+            if not all(math.isfinite(f) for f, _ in self.mod_tones):
+                raise ValueError("modulating tone frequencies must be finite")
             amps = [a for _, a in self.mod_tones]
             if not all(0 <= a <= 1 for a in amps):
                 raise ValueError("modulating tone amplitudes must lie in [0, 1]")
@@ -128,7 +132,7 @@ def waveform_from_truth(truth: TruthRecord) -> np.ndarray:
 
 
 def _check_nyquist(f_hz: float, sample_rate_hz: float, what: str = "frequency"):
-    if abs(f_hz) >= sample_rate_hz / 2:
+    if not abs(f_hz) < sample_rate_hz / 2:  # NaN fails it too
         raise ValueError(f"{what} {f_hz} Hz violates Nyquist for Fs = {sample_rate_hz} Hz")
 
 
@@ -136,8 +140,8 @@ def gen_tone(
     amp: float, f_hz: float, psi_rad: float, n: int, sample_rate_hz: float
 ) -> tuple[SampleStream, TruthRecord]:
     """Stationary complex tone: sample k = amp * exp(j*(2*pi*f_hz*k/Fs + psi_rad))."""
-    if amp < 0:
-        raise ValueError("amp must be nonnegative")
+    if not 0 <= amp < math.inf:
+        raise ValueError("amp must be nonnegative and finite")
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_nyquist(f_hz, sample_rate_hz)
@@ -221,8 +225,8 @@ def gen_am(
     """AM tone: A(t) = a0*(1 + mod_index*cos(2*pi*mod_freq*t)) on a constant carrier."""
     if not 0 <= mod_index <= 1:
         raise ValueError("mod_index must lie in [0, 1]")
-    if a0 < 0:
-        raise ValueError("a0 must be nonnegative")
+    if not 0 <= a0 < math.inf:
+        raise ValueError("a0 must be nonnegative and finite")
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_nyquist(abs(carrier_offset_hz) + mod_freq_hz, sample_rate_hz, "AM sideband")

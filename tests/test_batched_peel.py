@@ -13,7 +13,9 @@ and took the floor with np.median.  At the same batch size process_stream must
 equal it exactly, block for block.
 """
 
-import itertools
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -156,7 +158,10 @@ def reference_estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_i
         # the mixer depends only on the coarse bin: one row per distinct bin
         bin_hz, row_of = np.unique(coarse, return_inverse=True)
         mixer = np.exp(-2j * np.pi * bin_hz[:, None] * _centered_times(n, sample_rate_hz))[row_of]
-        corr = (windowed * mixer) @ bank.T
+        # the kernel's one-row pad and product order (below), so values match bit for bit
+        mixed = windowed * mixer
+        corr = ((mixed if active.size > 1 else np.repeat(mixed, 2, axis=0)) @ bank.T)[
+            : active.size]
         best = np.argmax(np.abs(corr), axis=1)
         c = corr[np.arange(active.size), best] / n
         freq = coarse + offsets_hz[best]
@@ -166,7 +171,8 @@ def reference_estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_i
         fold = np.abs(freq) >= sample_rate_hz / 2
         freq[fold] -= np.sign(freq[fold]) * sample_rate_hz
         phase[fold] = wrap_phase(phase[fold] + np.pi * ((n - 1) % 2))
-        residual[active] -= (c / w_mean)[:, None] * np.conj(mixer * bank[best])
+        tone = np.conjugate(np.multiply(bank[best], mixer))
+        residual[active] -= np.multiply((c / w_mean)[:, None], tone)
         amp = np.ldexp(np.abs(c) / w_mean, exps[active])
         rounds.append([v.tolist() for v in (active, amp, freq, phase)])
     if active.size:  # these reached max_peel: floor of the final residual
@@ -183,7 +189,7 @@ def reference_estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_i
 def assert_equals_reference(stream, config):
     """process_stream must reproduce the reference kernel exactly: no tolerance.
 
-    Both run through process_stream's batching at the current _BATCH_SAMPLES.
+    Both run through process_stream's batching at the current _POOL_SAMPLES.
     """
     got = list(process_stream(stream, config))
     with pytest.MonkeyPatch.context() as mp:
@@ -236,7 +242,8 @@ def test_acceptance_fm_scenario():
     stream = fm_stream()
     config = StsaConfig(block_len_n=N, detect_threshold_db=9.0, max_peel=3)
     # 8,000 blocks also leave a partial last batch
-    assert (len(stream) // N) % (blockproc._BATCH_SAMPLES // N) != 0
+    batch = blockproc._POOL_SAMPLES // (blockproc.worker_count(8000) * N)
+    assert (len(stream) // N) % batch != 0
     total, _ = assert_matches_oracle(stream, config)
     assert total == 15478
     assert_equals_reference(stream, config)
@@ -281,7 +288,8 @@ def test_half_overlap():
 
 
 def test_many_batches_with_partial_last(monkeypatch):
-    monkeypatch.setattr(blockproc, "_BATCH_SAMPLES", 7 * N)
+    monkeypatch.setattr(blockproc, "_POOL_SAMPLES", 14 * N)  # 7 blocks for each of 2 threads
+    monkeypatch.setattr(blockproc, "worker_count", lambda jobs: 2)
     stream = fm_stream(0.01)
     assert (len(stream) // N) % 7 != 0
     assert_matches_oracle(stream, StsaConfig(detect_threshold_db=9.0, max_peel=3))
@@ -342,11 +350,6 @@ def am_stream(duration_s):
     return add_awgn(clean, 40.0, (9000.0, 11000.0), 5)
 
 
-# Relative bound on how far amplitudes, floors and residual powers move with the
-# batch size; phases are bounded by the same multiple of eps * pi, absolutely.
-BATCH_REL_BOUND = 4 * 2.0**-52
-
-
 BATCH_CASES = {
     "fm": (lambda: fm_stream(0.1), StsaConfig(detect_threshold_db=9.0, max_peel=3)),
     "am_n2048": (lambda: am_stream(0.5), StsaConfig(block_len_n=2048, window="hamming",
@@ -354,31 +357,91 @@ BATCH_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BATCH_CASES))
-def test_batch_size_moves_values_by_at_most_ulps(monkeypatch, case):
-    """Batches of 2**14, 2**18 and 2**20 samples give the same peels and frequencies.
+def assert_same_table(one, other):
+    for name, column in vars(one).items():
+        assert column.tobytes() == getattr(other, name).tobytes(), name
 
-    The other values may differ at ulp level, because the row count of a round
-    changes how numpy evaluates it: a one-row correlation takes the matrix-vector
-    path, and from 256 KiB on numpy reuses a temporary operand as the output of
-    the complex products in the subtraction, swapping their operand order.
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batch_size_changes_no_value(monkeypatch, case):
+    """Batches of 2**14, 2**17, 2**18 and 2**20 samples give the same table, bit for bit.
+
+    One thread runs them, so each batch has exactly that many samples.
+
+    The kernel pads a one-row correlation to two rows and writes its complex
+    products with a fixed operand order, so neither the matrix-vector path nor
+    numpy's reuse of large temporaries can change a value with the row count.
     """
     make_stream, config = BATCH_CASES[case]
     stream = make_stream()
+    monkeypatch.setattr(blockproc, "worker_count", lambda jobs: 1)
     runs = []
-    for batch in (2**14, 2**18, 2**20):
-        monkeypatch.setattr(blockproc, "_BATCH_SAMPLES", batch)
+    for batch in (2**14, 2**17, 2**18, 2**20):
+        monkeypatch.setattr(blockproc, "_POOL_SAMPLES", batch)
         runs.append(process_stream(stream, config))
     assert sum(len(b.estimates) for b in runs[0]) > len(runs[0])  # some blocks peel twice
+    for other in runs[1:]:
+        assert_same_table(runs[0], other)
 
-    def close(a, b):
-        return abs(a - b) <= BATCH_REL_BOUND * max(abs(a), abs(b))
 
-    for one, other in itertools.combinations(runs, 2):
-        for a, b in zip(one, other, strict=True):
-            assert a.block_index == b.block_index and len(a.estimates) == len(b.estimates)
-            assert close(a.noise_floor, b.noise_floor) and close(a.residual_power, b.residual_power)
-            for x, y in zip(a.estimates, b.estimates):
-                assert (x.freq_hz, x.peel_rank, x.t_center_s) == (y.freq_hz, y.peel_rank, y.t_center_s)
-                assert close(x.amp, y.amp)
-                assert abs(wrap_phase(x.phase_rad - y.phase_rad)) <= BATCH_REL_BOUND * np.pi
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_estimate_block_is_its_row_of_process_stream(case):
+    """A batch of one gives each block the values it gets inside process_stream."""
+    make_stream, config = BATCH_CASES[case]
+    stream = make_stream()
+    table = process_stream(stream, config)
+    n = config.block_len_n
+    for i, row in enumerate(table):
+        alone = blockproc.estimate_block(stream.samples[i * n : (i + 1) * n], config, RATE)
+        assert [(e.amp, e.freq_hz, e.phase_rad, e.peel_rank) for e in alone.estimates] == [
+            (e.amp, e.freq_hz, e.phase_rad, e.peel_rank) for e in row.estimates], i
+        assert (alone.residual_power, alone.noise_floor) == (row.residual_power, row.noise_floor)
+
+
+def test_worker_count_changes_no_value(monkeypatch):
+    """1, 2 and 4 threads give the same table, over batches of 7, 3 and 1 blocks.
+
+    Four workers on a short switch interval also run more threads than a
+    small machine has cores, switching between them often.
+    """
+    monkeypatch.setattr(blockproc, "_POOL_SAMPLES", 7 * N)
+    stream = fm_stream(0.05)
+    config = StsaConfig(detect_threshold_db=9.0, max_peel=3)
+    assert (len(stream) // N) % 7 != 0
+    tables = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(blockproc, "worker_count", lambda jobs, k=workers: k)
+            tables.append(process_stream(stream, config))
+    finally:
+        sys.setswitchinterval(interval)
+    for other in tables[1:]:
+        assert_same_table(tables[0], other)
+
+
+def test_batches_run_on_several_threads(monkeypatch):
+    """With two workers, two threads each run _estimate_blocks, at the same time.
+
+    Each thread's first batch waits for the other's at a barrier, which a
+    single thread would leave broken after the timeout.
+    """
+    monkeypatch.setattr(blockproc, "_POOL_SAMPLES", 14 * N)
+    monkeypatch.setattr(blockproc, "worker_count", lambda jobs: 2)
+    kernel, barrier, threads = blockproc._estimate_blocks, threading.Barrier(2, timeout=30), set()
+
+    def recorded(*args):
+        if threading.get_ident() not in threads:
+            threads.add(threading.get_ident())
+            barrier.wait()
+        return kernel(*args)
+
+    monkeypatch.setattr(blockproc, "_estimate_blocks", recorded)
+    assert len(process_stream(fm_stream(0.01), StsaConfig())) == 80
+    assert len(threads) == 2
+
+
+def test_worker_count_is_capped_by_the_jobs():
+    assert blockproc.worker_count(1) == 1
+    assert 1 <= blockproc.worker_count(10**6) <= (os.cpu_count() or 1)

@@ -283,6 +283,25 @@ class TestCancel:
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
         assert not resid.exists()
 
+    @pytest.mark.parametrize("flag", ["--out-residual", "--out-estimate", "--out-tracks",
+                                      "--report"])
+    def test_unwritable_output_io_error(self, tmp_path, capsys, flag):
+        # the outputs are written concurrently; a failed one still exits 1
+        src = self.gen_tone_file(tmp_path, n=20480)
+        assert run(["cancel", "--in", str(src), "--rate", RATE, "--band", "72000", "92000",
+                    "--out-residual", str(tmp_path / "r.iq"),  # a repeated flag's last value wins
+                    flag, str(tmp_path / "missing_dir" / "out")]) == 1
+        assert capsys.readouterr().err.startswith("i/o error:")
+
+    def test_report_error_is_parameter_error(self, tmp_path, capsys):
+        # the report needs one 16,384-sample segment; the files are still written
+        src = self.gen_tone_file(tmp_path, n=2560)
+        resid, tracks = tmp_path / "r.iq", tmp_path / "t.csv"
+        assert run(["cancel", "--in", str(src), "--rate", RATE, "--band", "72000", "92000",
+                    "--out-residual", str(resid), "--out-tracks", str(tracks)]) == 2
+        assert capsys.readouterr().err.startswith("error: stream too short")
+        assert resid.exists() and tracks.exists()
+
     def test_missing_input_io_error(self, tmp_path, capsys):
         code = run([
             "cancel", "--in", str(tmp_path / "nope.iq"), "--rate", RATE,

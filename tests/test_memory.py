@@ -1,4 +1,4 @@
-"""Traced peak memory of the report, the IQ writer and `stsa cancel`.
+"""Traced peak memory of the estimator, the report, the IQ writer and `stsa cancel`.
 
 The input is built before tracing starts, so each peak counts only what
 the call itself allocates.  The bounds are multiples of one complex128 copy
@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stsa.blockproc import StsaConfig, process_stream
 from stsa.cli import main
 from stsa.iq import IqFormat, SampleStream, write_iq
 from stsa.metrics import suppression_report
@@ -48,19 +49,31 @@ def test_write_peak_is_the_encoded_size(streams, tmp_path):
     assert peak < encoded_bytes + 2**20
 
 
+def tone_in_noise(samples) -> SampleStream:
+    rng = np.random.default_rng(5)
+    t = np.arange(samples) / RATE
+    x = 0.5 * np.exp(2j * np.pi * 100e3 * t) + 0.01 * (
+        rng.standard_normal(samples) + 1j * rng.standard_normal(samples))
+    return SampleStream(x, RATE)
+
+
+def test_estimator_peaks_under_a_quarter_more_than_the_stream():
+    # Each batch in flight holds a few batch-sized arrays, one per thread,
+    # and the table grows by a few values per block.
+    samples = 2**20
+    stream = tone_in_noise(samples)
+    peak = traced_peak(lambda: process_stream(stream, StsaConfig()))
+    assert peak < 1.25 * samples * np.dtype(np.complex128).itemsize
+
+
 def test_cancel_with_estimate_peaks_under_three_stream_copies(tmp_path):
     # After the estimator the only stream-length buffers are the input and
     # the rendered waveform, which becomes the residual; the residual and
     # estimate files are encoded in chunks.  A third complex128 copy (a
     # separate residual or estimate array) goes over the bound.
     samples = 2**20
-    rng = np.random.default_rng(5)
-    t = np.arange(samples) / RATE
-    x = 0.5 * np.exp(2j * np.pi * 100e3 * t) + 0.01 * (
-        rng.standard_normal(samples) + 1j * rng.standard_normal(samples))
     src = tmp_path / "in.iq"
-    write_iq(SampleStream(x, RATE), src, IqFormat.FLOAT32)
-    del x, t
+    write_iq(tone_in_noise(samples), src, IqFormat.FLOAT32)
     codes = []
     peak = traced_peak(lambda: codes.append(main([
         "cancel", "--in", str(src), "--rate", str(RATE), "--out-residual",

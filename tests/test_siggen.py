@@ -327,21 +327,37 @@ class TestInputChecks:
         ({"mod_noise_bw_hz": np.nan}, "mod_noise_bw_hz must be positive"),
         ({"mod_noise_bw_hz": 1000.0, "mod_noise_rms": np.nan},
          r"mod_noise_rms must lie in \(0, 1\)"),
+        ({"duration_s": np.inf}, "duration_s must be positive and finite"),
+        ({"carrier_offset_hz": np.nan}, "carrier_offset_hz must be finite"),
+        ({"mod_tones": ((np.nan, 0.5),)}, "modulating tone frequencies must be finite"),
+        ({"amp": np.inf}, "amp must be positive and finite"),
     ])
     def test_nbfm_spec(self, changes, message):
         fields = {"carrier_offset_hz": 0.0, "deviation_hz": 4000.0, "duration_s": 0.01, **changes}
         with pytest.raises(ValueError, match=message):
             NbfmSpec(**fields)
 
+    @pytest.mark.parametrize("amp", [-1.0, np.nan, np.inf])
+    def test_tone_amp(self, amp):
+        with pytest.raises(ValueError, match="amp must be nonnegative and finite"):
+            gen_tone(amp, 0.0, 0.0, 8, RATE)
+
+    def test_nan_frequency_names_the_frequency(self):
+        with pytest.raises(ValueError, match="frequency nan Hz violates Nyquist"):
+            gen_tone(1.0, np.nan, 0.0, 8, RATE)
+        with pytest.raises(ValueError, match="AM sideband nan Hz violates Nyquist"):
+            gen_am(0.0, 1.0, 0.5, np.nan, 64, RATE)
+
     def test_tone(self):
-        with pytest.raises(ValueError, match="amp must be nonnegative"):
-            gen_tone(-1.0, 0.0, 0.0, 8, RATE)
         with pytest.raises(ValueError, match="n must be nonnegative"):
             gen_tone(1.0, 0.0, 0.0, -5, RATE)
 
+    @pytest.mark.parametrize("a0", [-1.0, np.nan, np.inf])
+    def test_am_a0(self, a0):
+        with pytest.raises(ValueError, match="a0 must be nonnegative and finite"):
+            gen_am(0.0, a0, 0.5, 100.0, 64, RATE)
+
     def test_am(self):
-        with pytest.raises(ValueError, match="a0 must be nonnegative"):
-            gen_am(0.0, -1.0, 0.5, 100.0, 64, RATE)
         with pytest.raises(ValueError, match="n must be nonnegative"):
             gen_am(0.0, 1.0, 0.5, 100.0, -5, RATE)
 
