@@ -73,6 +73,8 @@ class StsaConfig:
             raise ValueError("fine_grid_fraction must lie in (0, 1]")
         if not math.isfinite(self.detect_threshold_db):
             raise ValueError("detect_threshold_db must be finite")
+        if self.detect_threshold_db / 10.0 >= math.log10(np.finfo(float).max):
+            raise ValueError(f"detect_threshold_db {self.detect_threshold_db} overflows 10**(dB/10)")
         if self.max_peel < 1:
             raise ValueError("max_peel must be at least 1")
         if self.overlap not in OVERLAP_MODES:
@@ -390,7 +392,7 @@ def process_stream(stream: SampleStream, config: StsaConfig) -> Estimates:
     if len(stream) < n:
         return _estimate_blocks(np.zeros((0, n)), config, rate, np.zeros(0), 0)
     blocks = sliding_window_view(stream.samples, n)[::hop]
-    t_centers = stream.t0_s + (np.arange(len(blocks)) * hop + (n - 1) / 2.0) / rate
+    t_centers = (np.arange(len(blocks)) * hop + (n - 1) / 2.0) / rate
     workers = worker_count(len(blocks))
     batch = max(1, _POOL_SAMPLES // (workers * n))
     with ThreadPoolExecutor(workers) as pool:

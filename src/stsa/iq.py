@@ -46,7 +46,6 @@ class SampleStream:
 
     samples: np.ndarray
     sample_rate_hz: float
-    t0_s: float = 0.0
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
@@ -98,7 +97,8 @@ def _encode(samples: np.ndarray, fmt: IqFormat, minus: np.ndarray | None = None)
             chunk = chunk - minus[i : i + _ENCODE_CHUNK]
         interleaved = np.ascontiguousarray(chunk).view(np.float64)  # I0, Q0, I1, ...
         if fmt is IqFormat.FLOAT32:
-            yield interleaved.astype("<f4")
+            encoded = interleaved.astype("<f4")
+            yield np.add(encoded, 0.0, out=encoded)  # -0.0 writes as +0.0, as decode_iq reads it
         else:
             scaled = interleaved * INT8_SCALE  # exact, so |scaled| > 128 iff |component| > 1
             n_clipped += np.count_nonzero(np.abs(scaled) > INT8_SCALE)
@@ -115,7 +115,7 @@ def encode_iq(stream: SampleStream, fmt: IqFormat) -> bytes:
     return b"".join(_encode(stream.samples, fmt))
 
 
-def decode_iq(data: bytes, fmt: IqFormat, sample_rate_hz: float, t0_s: float = 0.0) -> SampleStream:
+def decode_iq(data: bytes, fmt: IqFormat, sample_rate_hz: float) -> SampleStream:
     """Deserialize interleaved bytes produced by :func:`encode_iq`."""
     per = fmt.bytes_per_sample
     if len(data) % per:
@@ -126,7 +126,7 @@ def decode_iq(data: bytes, fmt: IqFormat, sample_rate_hz: float, t0_s: float = 0
     if fmt is IqFormat.INT8:
         raw /= INT8_SCALE
     raw += 0.0  # -0.0 reads as +0.0
-    return SampleStream(raw.view(np.complex128), sample_rate_hz, t0_s)
+    return SampleStream(raw.view(np.complex128), sample_rate_hz)
 
 
 def read_iq(path, fmt: IqFormat, sample_rate_hz: float) -> SampleStream:

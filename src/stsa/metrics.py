@@ -116,7 +116,7 @@ def dynamic_spectrum(stream: SampleStream, t_res_s: float, f_res_hz: float) -> D
     segments = used[:, : segs_per_cell * seg_len].reshape(rows, segs_per_cell, seg_len)
     psd = _averaged_psd(segments, stream.sample_rate_hz)
     freqs = np.fft.fftshift(np.fft.fftfreq(seg_len, d=1.0 / stream.sample_rate_hz))
-    times = stream.t0_s + (np.arange(rows) + 0.5) * cell / stream.sample_rate_hz
+    times = (np.arange(rows) + 0.5) * cell / stream.sample_rate_hz
     return DynamicSpectrum(times, freqs, psd, cell / stream.sample_rate_hz,
                            stream.sample_rate_hz / seg_len)
 
@@ -189,15 +189,6 @@ def suppression_report(
         signal_only = before - noise_power_in_band
         snr = _log_ratio_db(max(signal_only, 0.0), noise_power_in_band)
     return SuppressionReport((lo, hi), before, after, suppression, out_delta, snr)
-
-
-def offset_band_power(
-    frame: SpectrumFrame, center_hz: float, offset_hz: float, half_width_hz: float = 250.0
-) -> float:
-    """Power in a small window at center + offset (for block-rate artifact checks)."""
-    return frame_band_power(
-        frame, (center_hz + offset_hz - half_width_hz, center_hz + offset_hz + half_width_hz)
-    )
 
 
 def format_report(report: SuppressionReport) -> str:

@@ -51,14 +51,13 @@ def run_cancel(
         tracks = synthesis.assemble_tracks(blocks, config, work.sample_rate_hz, jump_limit_bins)
         if strongest_only and tracks:
             tracks = [max(tracks, key=lambda rows: sum(a**2 for a in blocks.amp[rows].tolist()))]
-        meta = (len(work), work.sample_rate_hz, work.t0_s)
+        meta = (len(work), work.sample_rate_hz)
         residual = synthesis.cancel(work, synthesis.synthesize(tracks, meta, config, blocks))
         if inter_pass_format is not None and p < passes - 1:
             residual = iq.decode_iq(
                 iq.encode_iq(residual, inter_pass_format),
                 inter_pass_format,
                 residual.sample_rate_hz,
-                residual.t0_s,
             )
         result.blocks_per_pass.append(blocks)
         result.tracks_per_pass.append(tracks)

@@ -145,6 +145,8 @@ def gen_tone(
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_nyquist(f_hz, sample_rate_hz)
+    if not math.isfinite(psi_rad):
+        raise ValueError("psi_rad must be finite")
     truth = TruthRecord(
         np.full(n, f_hz), np.full(n, float(amp)), float(psi_rad), sample_rate_hz
     )
@@ -189,8 +191,6 @@ def gen_nbfm(spec: NbfmSpec, sample_rate_hz: float) -> tuple[SampleStream, Truth
     f_inst(k) = carrier_offset + deviation * m(k) with |m| <= 1, so the Carson
     band edge is the worst-case instantaneous frequency.
     """
-    if spec.carson_bandwidth_hz() >= sample_rate_hz:
-        raise ValueError("Carson bandwidth exceeds the sampled span")
     for edge in spec.carson_band_hz():
         _check_nyquist(edge, sample_rate_hz, "Carson band edge")
     n = int(round(spec.duration_s * sample_rate_hz))
@@ -246,10 +246,8 @@ def mix(streams: list[SampleStream]) -> SampleStream:
             raise ValueError("mix: stream lengths differ")
         if s.sample_rate_hz != first.sample_rate_hz:
             raise ValueError("mix: sample rates differ")
-        if s.t0_s != first.t0_s:
-            raise ValueError("mix: start times differ")
     total = np.sum([s.samples for s in streams], axis=0)
-    return SampleStream(total, first.sample_rate_hz, first.t0_s)
+    return SampleStream(total, first.sample_rate_hz)
 
 
 def add_awgn(
@@ -262,8 +260,8 @@ def add_awgn(
 
     The noise is flat across the full Nyquist span; its variance is chosen so
     that (stream power) / (noise power falling inside signal_band_hz) equals
-    10**(snr_db/10).  snr_db = inf returns the stream unchanged; -inf and NaN
-    raise ValueError.
+    10**(snr_db/10).  snr_db = inf returns the stream unchanged; -inf, NaN and
+    an snr_db whose variance is not a positive finite float raise ValueError.
     """
     if snr_db == math.inf:
         return stream
@@ -276,11 +274,14 @@ def add_awgn(
     if p_sig == 0:
         raise ValueError("zero-power stream has no finite-SNR noise level")
     band_fraction = (hi - lo) / stream.sample_rate_hz
-    noise_var = p_sig / (10.0 ** (snr_db / 10.0)) / band_fraction
+    ratio = 10.0 ** (snr_db / 10.0) if snr_db / 10.0 < math.log10(np.finfo(float).max) else math.inf
+    noise_var = p_sig / ratio / band_fraction if ratio else math.inf
+    if not 0 < noise_var < math.inf:
+        raise ValueError(f"snr_db {snr_db} gives a noise variance that is not positive and finite")
     rng = np.random.default_rng(rng_seed)
     scale = math.sqrt(noise_var / 2.0)
     noise = scale * (rng.standard_normal(len(stream)) + 1j * rng.standard_normal(len(stream)))
-    return SampleStream(stream.samples + noise, stream.sample_rate_hz, stream.t0_s)
+    return SampleStream(stream.samples + noise, stream.sample_rate_hz)
 
 
 def write_truth_csv(truth: TruthRecord, path) -> None:

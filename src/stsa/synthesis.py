@@ -111,7 +111,7 @@ _CHUNK_SAMPLES = 2**16
 
 def synthesize(
     tracks: list[np.ndarray],
-    stream_meta: tuple[int, float, float],
+    stream_meta: tuple[int, float],
     config: StsaConfig,
     estimates: Estimates,
 ) -> np.ndarray:
@@ -132,7 +132,7 @@ def synthesize(
     Each row adds block r-1's right half before block r's left half, so the
     sum does not depend on where a pass ends.
     """
-    length, sample_rate_hz, _t0 = stream_meta
+    length, sample_rate_hz = stream_meta
     n = config.block_len_n
     hop = config.hop
     ic0 = n // 2  # ceil((n - 1) / 2)
@@ -193,7 +193,7 @@ def cancel(original: SampleStream, waveform: np.ndarray) -> SampleStream:
             f"length mismatch: stream has {len(original)} samples, waveform has {waveform.size}"
         )
     residual = np.subtract(original.samples, waveform, out=waveform)
-    return SampleStream(residual, original.sample_rate_hz, original.t0_s)
+    return SampleStream(residual, original.sample_rate_hz)
 
 
 def write_tracks_csv(passes, path) -> None:

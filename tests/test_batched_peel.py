@@ -104,7 +104,7 @@ def oracle_estimate_block(
 
 def block_center_time(stream: SampleStream, config: StsaConfig, block_index: int) -> float:
     start = block_index * config.hop
-    return stream.t0_s + (start + (config.block_len_n - 1) / 2.0) / stream.sample_rate_hz
+    return (start + (config.block_len_n - 1) / 2.0) / stream.sample_rate_hz
 
 
 def oracle_process_stream(stream: SampleStream, config: StsaConfig) -> list[BlockEstimates]:

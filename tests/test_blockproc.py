@@ -1,6 +1,7 @@
 """Per-block estimator tests: detection, refinement, correlation, peel loop."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -65,6 +66,24 @@ class TestConfig:
     def test_non_finite_or_non_positive_setting_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             StsaConfig(**{field: value})
+
+    def test_threshold_rejected_exactly_where_its_power_ratio_overflows(self):
+        def overflows(threshold_db):
+            try:
+                10.0 ** (threshold_db / 10.0)
+            except OverflowError:
+                return True
+            return False
+
+        lo, hi = 3000.0, 4000.0  # bisect to the two adjacent floats either side of the edge
+        while np.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if overflows(mid) else (mid, hi)
+        assert not overflows(lo) and overflows(hi)
+        assert StsaConfig(detect_threshold_db=lo).detect_threshold_db == lo
+        for threshold_db in (hi, 4000.0, 1e300):
+            with pytest.raises(ValueError, match=re.escape(f"detect_threshold_db {threshold_db} overflows")):
+                StsaConfig(detect_threshold_db=threshold_db)
 
     def test_fine_search_span_is_one_bin_and_not_a_field(self):
         assert StsaConfig.fine_search_span_bins == StsaConfig().fine_search_span_bins == 1.0

@@ -579,6 +579,31 @@ class TestParameterErrors:
             "cancel", "--in", str(src), "--rate", RATE, "--out-residual", str(outputs[0]),
             "--report", str(outputs[1])], "--report needs --band", outputs)
 
+    def test_cancel_threshold_whose_power_ratio_overflows(self, tmp_path, capsys):
+        src = self.tone_file(tmp_path, n=2560)
+        resid = tmp_path / "r.iq"
+        argv = ["cancel", "--in", str(src), "--rate", RATE, "--out-residual", str(resid)]
+        self.expect_error(capsys, [*argv, "--threshold-db", "4000"],
+                          "detect_threshold_db 4000.0 overflows", [resid])
+        assert run([*argv, "--threshold-db", "3000"]) == 0
+
+    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    def test_generate_snr_whose_noise_variance_is_not_a_positive_float(self, tmp_path, capsys,
+                                                                        snr):
+        out = tmp_path / "x.iq"
+        self.expect_error(capsys, [
+            "generate", "--tone", "--freq", "100", "--rate", RATE, "--n", "4096", "--snr", snr,
+            "--snr-band", "-1000", "1000", "--out", str(out)],
+            f"snr_db {float(snr)} gives a noise variance that is not positive and finite",
+            [out, tmp_path / "x.iq.truth.csv"])
+
+    @pytest.mark.parametrize("psi", ["nan", "inf"])
+    def test_generate_tone_psi_must_be_finite(self, tmp_path, capsys, psi):
+        out = tmp_path / "x.iq"
+        self.expect_error(capsys, ["generate", "--tone", "--rate", RATE, "--n", "64",
+                                   "--psi", psi, "--out", str(out)],
+                          "psi_rad must be finite", [out, tmp_path / "x.iq.truth.csv"])
+
 
 class TestOutputsMatchLibrary:
     RATE_HZ = 2048000.0

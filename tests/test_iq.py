@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stsa.iq import IqFormat, SampleStream, encode_iq, decode_iq, read_iq, write_iq
 from stsa.iq import _ENCODE_CHUNK as CHUNK
@@ -121,7 +123,9 @@ def _interleaved_encode(stream, fmt):
     interleaved[0::2] = stream.samples.real
     interleaved[1::2] = stream.samples.imag
     if fmt is IqFormat.FLOAT32:
-        return interleaved.astype("<f4").tobytes()
+        encoded = interleaved.astype("<f4")
+        encoded[encoded == 0.0] = 0.0  # the encoder now writes a -0.0 float32 as +0.0
+        return encoded.tobytes()
     n_clipped = int(np.count_nonzero(np.abs(interleaved) > 1.0))
     if n_clipped:
         warnings.warn(f"int8 write clipped {n_clipped} out-of-range components")
@@ -262,3 +266,21 @@ def test_check_band_accepts_the_whole_nyquist_span():
 def test_duration_and_empty_power():
     assert SampleStream(np.ones(6, complex), 4.0).duration_s == 1.5
     assert SampleStream(np.zeros(0, complex), 4.0).power() == 0.0
+
+
+# Components inside the float32 range: signed zeros, values that clip to int8 or
+# underflow float32, and any other finite value.
+_COMPONENTS = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 127 / 128, -129 / 128, -1e-300, 1e-46]) | \
+    st.floats(-3.4e38, 3.4e38)
+
+
+@given(fmt=st.sampled_from(list(IqFormat)), parts=st.lists(_COMPONENTS, max_size=64))
+def test_reencoding_the_decoded_bytes_gives_the_same_bytes(fmt, parts):
+    parts = np.array(parts[: len(parts) // 2 * 2], dtype=np.float64)
+    stream = SampleStream(parts.view(np.complex128), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # int8 clipping
+        once = encode_iq(stream, fmt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # decoded samples never clip
+        assert encode_iq(decode_iq(once, fmt, 1.0), fmt) == once

@@ -13,7 +13,6 @@ from stsa.metrics import (
     dynamic_spectrum,
     frame_band_power,
     format_report,
-    offset_band_power,
     power_spectrum,
     suppression_report,
     write_dynamic_spectrum_csv,
@@ -197,15 +196,6 @@ class TestSuppressionReport:
         short = SampleStream(orig.samples[:100], RATE)
         with pytest.raises(ValueError):
             suppression_report(orig, short, self.BAND)
-
-
-def test_offset_band_power_targets_comb_offsets():
-    stream, _ = gen_tone(1.0, 8000.0, 0.0, 16384 * 4, RATE)
-    frame = power_spectrum(stream, 125.0)
-    at_offset = offset_band_power(frame, 0.0, 8000.0, half_width_hz=250.0)
-    away = offset_band_power(frame, 0.0, -8000.0, half_width_hz=250.0)
-    assert at_offset / stream.power() > 0.99
-    assert away < 1e-6 * at_offset
 
 
 class TestCsvOutputs:

@@ -32,7 +32,7 @@ def _tone_at(est: SinusoidEstimate, sample_indices: np.ndarray, center_index: fl
 
 def slice_synthesize(
     tracks: list[np.ndarray],
-    stream_meta: tuple[int, float, float],
+    stream_meta: tuple[int, float],
     config: StsaConfig,
     table: Estimates,
 ) -> np.ndarray:
@@ -44,7 +44,7 @@ def slice_synthesize(
     Detection gaps wider than one block step are left at zero rather than
     bridged.
     """
-    length, sample_rate_hz, _t0 = stream_meta
+    length, sample_rate_hz = stream_meta
     n = config.block_len_n
     hop = config.hop
     out = np.zeros(length, dtype=np.complex128)
@@ -84,7 +84,7 @@ def slice_synthesize(
 
 def oracle_synthesize(
     track: np.ndarray,
-    stream_meta: tuple[int, float, float],
+    stream_meta: tuple[int, float],
     config: StsaConfig,
     table: Estimates,
 ) -> np.ndarray:
@@ -97,7 +97,7 @@ def oracle_synthesize(
     """
     if not len(track):
         raise ValueError("cannot synthesize an empty track")
-    length, sample_rate_hz, _t0 = stream_meta
+    length, sample_rate_hz = stream_meta
     n = config.block_len_n
     hop = config.hop
     out = np.zeros(length, dtype=np.complex128)
@@ -185,8 +185,8 @@ def test_acceptance_fm_scenario():
     config = StsaConfig(detect_threshold_db=9.0, max_peel=3)
     tracks, table = stream_tracks(noisy, config)
     assert len(tracks) == 43
-    assert_matches_oracle(tracks, (len(noisy), RATE, 0.0), config, table)
-    assert_close_to_slices(tracks, (len(noisy), RATE, 0.0), config, table)
+    assert_matches_oracle(tracks, (len(noisy), RATE), config, table)
+    assert_close_to_slices(tracks, (len(noisy), RATE), config, table)
 
 
 def test_three_station_mixture():
@@ -202,8 +202,8 @@ def test_three_station_mixture():
     config = StsaConfig(detect_threshold_db=12.0)
     tracks, table = stream_tracks(noisy, config)
     assert sum(1 for t in tracks if len(t) > len(noisy) // (2 * config.block_len_n)) == 3
-    assert_matches_oracle(tracks, (len(noisy), RATE, 0.0), config, table)
-    assert_close_to_slices(tracks, (len(noisy), RATE, 0.0), config, table)
+    assert_matches_oracle(tracks, (len(noisy), RATE), config, table)
+    assert_close_to_slices(tracks, (len(noisy), RATE), config, table)
 
 
 @st.composite
@@ -225,7 +225,7 @@ def scenarios(draw):
             for b in indices
         ))
     table, tracks = table_helpers.tracks_table(entry_lists)
-    return tracks, (length, RATE, 0.0), config, table
+    return tracks, (length, RATE), config, table
 
 
 @settings(max_examples=300)
@@ -254,7 +254,7 @@ def wide_scenarios(draw):
             for b in indices
         ))
     table, tracks = table_helpers.tracks_table(entry_lists)
-    return tracks, (length, RATE, 0.0), config, table
+    return tracks, (length, RATE), config, table
 
 
 @settings(max_examples=200)
@@ -271,7 +271,7 @@ def test_properties_run_under_the_deterministic_profile():
 
 
 def test_no_tracks_render_zeros():
-    wave = synthesize([], (100, RATE, 0.0), StsaConfig(), table_helpers.estimates_table([]))
+    wave = synthesize([], (100, RATE), StsaConfig(), table_helpers.estimates_table([]))
     assert wave.tobytes() == np.zeros(100, np.complex128).tobytes()
 
 
@@ -281,14 +281,14 @@ def test_empty_track_rejected_anywhere_in_list():
     for entry_lists in ([()], [full, ()]):
         table, tracks = table_helpers.tracks_table(entry_lists)
         with pytest.raises(ValueError, match="empty track"):
-            synthesize(tracks, (64, RATE, 0.0), config, table)
+            synthesize(tracks, (64, RATE), config, table)
 
 
 def test_negative_block_index_rejected():
     config = StsaConfig(block_len_n=8)
     table, tracks = table_helpers.tracks_table([(SinusoidEstimate(1.0, 0.0, 0.0, -1, 0.0, 0),)])
     with pytest.raises(ValueError, match="block_index must be non-negative"):
-        synthesize(tracks, (64, RATE, 0.0), config, table)
+        synthesize(tracks, (64, RATE), config, table)
 
 
 @pytest.mark.parametrize("n,overlap", [(16, "none"), (15, "none"), (16, "half")])
@@ -305,7 +305,7 @@ def test_chunk_size_does_not_change_the_sum(monkeypatch, n, overlap):
         tuple(SinusoidEstimate(rng.uniform(0.1, 2.0), rng.uniform(-RATE / 4, RATE / 4),
                                rng.uniform(-np.pi, np.pi), b, 0.0, 0) for b in blocks)
         for blocks in spans])
-    meta = (39 * config.hop + n, RATE, 0.0)
+    meta = (39 * config.hop + n, RATE)
     monkeypatch.setattr(synthesis, "_CHUNK_SAMPLES", 2**30)  # one pass per track
     want = synthesize(tracks, meta, config, table)
     for entries in (1, 2, 3, 7, 16):

@@ -91,12 +91,12 @@ class TestAssembleTracks:
 class TestSynthesize:
     def test_empty_track_rejected(self):
         with pytest.raises(ValueError):
-            render((), (1024, RATE, 0.0), StsaConfig())
+            render((), (1024, RATE), StsaConfig())
 
     @pytest.mark.parametrize("blocks", [(3, 3), (4, 3), (0, 2, 1)])
     def test_block_indices_must_increase(self, blocks):
         with pytest.raises(ValueError, match="strictly increasing"):
-            render(tuple(est(b, 0.0) for b in blocks), (8 * N, RATE, 0.0), StsaConfig())
+            render(tuple(est(b, 0.0) for b in blocks), (8 * N, RATE), StsaConfig())
 
     def test_block_center_anchor_odd_n(self):
         # Odd block length puts centers on the sample grid; there the blend
@@ -107,7 +107,7 @@ class TestSynthesize:
         for b in range(4):
             t_center = (b * n_odd + (n_odd - 1) / 2) / RATE
             entries.append(SinusoidEstimate(0.8, 70000.0, 0.3 + 0.1 * b, b, t_center, 0))
-        wave = render(entries, (4 * n_odd, RATE, 0.0), cfg)
+        wave = render(entries, (4 * n_odd, RATE), cfg)
         for b in range(4):
             center_idx = b * n_odd + (n_odd - 1) // 2
             expected = 0.8 * np.exp(1j * (0.3 + 0.1 * b))
@@ -119,7 +119,7 @@ class TestSynthesize:
         blocks = process_stream(stream, cfg)
         tracks = assemble_tracks(blocks, cfg, RATE)
         assert len(tracks) == 1
-        wave = synthesize(tracks[:1], (len(stream), RATE, 0.0), cfg, blocks)
+        wave = synthesize(tracks[:1], (len(stream), RATE), cfg, blocks)
         assert wave.all()
         residual = cancel(stream, wave)
         ratio = residual.power() / stream.power()
@@ -132,7 +132,7 @@ class TestSynthesize:
             cfg = StsaConfig(max_peel=1, overlap=overlap)
             blocks = process_stream(stream, cfg)
             tracks = assemble_tracks(blocks, cfg, RATE)
-            wave = synthesize(tracks[:1], (len(stream), RATE, 0.0), cfg, blocks)
+            wave = synthesize(tracks[:1], (len(stream), RATE), cfg, blocks)
             powers[overlap] = cancel(stream, wave).power()
         assert powers["half"] <= powers["none"] + 1e-16
 
@@ -143,7 +143,7 @@ class TestSynthesize:
         amp = 1.0
         entries = (est(0, f, amp, 0.0), est(1, f, amp, 0.1))
         cfg = StsaConfig()
-        wave = render(entries, (2 * N, RATE, 0.0), cfg)
+        wave = render(entries, (2 * N, RATE), cfg)
         assert wave.all()
         jumps = np.abs(np.diff(wave))
         tone_rotation = 2 * amp * abs(np.sin(np.pi * f / RATE))
@@ -163,7 +163,7 @@ class TestSynthesize:
         blocks = process_stream(noisy, cfg)
         tracks = assemble_tracks(blocks, cfg, RATE)
         main = max(tracks, key=lambda rows: sum(a**2 for a in blocks.amp[rows].tolist()))
-        wave = synthesize([main], (len(noisy), RATE, 0.0), cfg, blocks)
+        wave = synthesize([main], (len(noisy), RATE), cfg, blocks)
         amp_max = blocks.amp[main].max()
         ideal_step = 2 * amp_max * np.sin(np.pi * 5000.0 / RATE)
         assert np.abs(np.diff(wave)).max() <= 3 * ideal_step
@@ -171,7 +171,7 @@ class TestSynthesize:
     def test_gap_wider_than_one_block_zero_filled(self):
         entries = (est(0, 50000.0), est(3, 50000.0))
         stream, _ = gen_tone(1.0, 1000.0, 0.0, 4 * N, RATE)
-        wave = render(entries, (len(stream), RATE, 0.0), StsaConfig())
+        wave = render(entries, (len(stream), RATE), StsaConfig())
         # each entry renders its own block; the two missing blocks are exact zeros
         assert wave[:N].all() and wave[3 * N :].all()
         assert wave[N : 3 * N].tobytes() == np.zeros(2 * N, complex).tobytes()
@@ -180,13 +180,13 @@ class TestSynthesize:
 
     def test_adjacent_blocks_blend_continuously(self):
         entries = (est(0, 50000.0), est(1, 50080.0))
-        wave = render(entries, (2 * N, RATE, 0.0), StsaConfig())
+        wave = render(entries, (2 * N, RATE), StsaConfig())
         assert wave.all()
 
     def test_leading_and_trailing_edges_unblended(self):
         entries = (est(2, 40000.0, amp=0.5, phase=1.0),)
         stream, _ = gen_tone(1.0, 1000.0, 0.0, 5 * N, RATE)
-        wave = render(entries, (len(stream), RATE, 0.0), StsaConfig())
+        wave = render(entries, (len(stream), RATE), StsaConfig())
         # a lone entry renders its own block at its amplitude, exact zeros elsewhere
         np.testing.assert_allclose(np.abs(wave[2 * N : 3 * N]), 0.5, rtol=1e-12)
         outside = np.r_[: 2 * N, 3 * N : 5 * N]
