@@ -40,8 +40,8 @@ class IqFormat(enum.Enum):
 class SampleStream:
     """Contiguous complex baseband samples plus the rate they were taken at.
 
-    Immutable: the sample array is marked read-only on construction, so a
-    stream can be shared freely across threads.
+    Immutable: the samples are checked finite in one pass and marked
+    read-only on construction, so a stream can be shared freely across threads.
     """
 
     samples: np.ndarray
@@ -53,7 +53,9 @@ class SampleStream:
             raise ValueError(f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}")
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if samples.size and not (
+        # NaN and inf cannot vanish from a sum of products, so a finite sum of |x|^2
+        # clears every component in one pass; else (or if squares overflow) check each
+        if samples.size and not np.isfinite(np.vdot(samples, samples)) and not (
             np.all(np.isfinite(samples.real)) and np.all(np.isfinite(samples.imag))
         ):
             raise ValueError("samples contain NaN or Inf")
@@ -97,7 +99,11 @@ def _encode(samples: np.ndarray, fmt: IqFormat, minus: np.ndarray | None = None)
             chunk = chunk - minus[i : i + _ENCODE_CHUNK]
         interleaved = np.ascontiguousarray(chunk).view(np.float64)  # I0, Q0, I1, ...
         if fmt is IqFormat.FLOAT32:
-            encoded = interleaved.astype("<f4")
+            try:
+                with np.errstate(over="raise"):
+                    encoded = interleaved.astype("<f4")
+            except FloatingPointError:
+                raise ValueError("sample components beyond ±3.4e38 overflow float32") from None
             yield np.add(encoded, 0.0, out=encoded)  # -0.0 writes as +0.0, as decode_iq reads it
         else:
             scaled = interleaved * INT8_SCALE  # exact, so |scaled| > 128 iff |component| > 1
@@ -111,21 +117,24 @@ def encode_iq(stream: SampleStream, fmt: IqFormat) -> bytes:
     """Serialize a stream to interleaved bytes.
 
     int8 components outside [-1, 1] are clipped; a warning reports how many.
+    A float32 component beyond ±3.4e38 raises ValueError.
     """
     return b"".join(_encode(stream.samples, fmt))
 
 
 def decode_iq(data: bytes, fmt: IqFormat, sample_rate_hz: float) -> SampleStream:
-    """Deserialize interleaved bytes produced by :func:`encode_iq`."""
+    """Deserialize interleaved bytes produced by :func:`encode_iq`, in one pass."""
     per = fmt.bytes_per_sample
     if len(data) % per:
         raise ValueError(
             f"truncated IQ data: trailing partial sample at byte offset {len(data) - len(data) % per}"
         )
-    raw = np.frombuffer(data, dtype=np.int8 if fmt is IqFormat.INT8 else "<f4").astype(np.float64)
+    src = np.frombuffer(data, dtype=np.int8 if fmt is IqFormat.INT8 else "<f4")
+    raw = np.empty(src.size, dtype=np.float64)
     if fmt is IqFormat.INT8:
-        raw /= INT8_SCALE
-    raw += 0.0  # -0.0 reads as +0.0
+        np.divide(src, INT8_SCALE, out=raw, dtype=np.float64)
+    else:
+        np.add(src, 0.0, out=raw, dtype=np.float64)  # -0.0 reads as +0.0
     return SampleStream(raw.view(np.complex128), sample_rate_hz)
 
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
+from concurrent.futures import ThreadPoolExecutor
 from itertools import count, repeat
 
 import numpy as np
 
+from . import blockproc
 from .blockproc import Estimates, StsaConfig
 from .iq import SampleStream
 
@@ -105,7 +107,8 @@ def _rows(rows: np.ndarray):
     return rows
 
 
-# Samples per synthesis pass: few enough that its tone temporaries stay in cache.
+# Samples in flight over all ranges' passes: few enough that the tone
+# temporaries stay in cache, and that they do not grow with the CPU count.
 _CHUNK_SAMPLES = 2**16
 
 
@@ -130,14 +133,28 @@ def synthesize(
     there is the outer product of two short phasor tables, both exactly 1 at
     the block center, so a center on the sample grid is amp*exp(j*phase).
     Each row adds block r-1's right half before block r's left half, so the
-    sum does not depend on where a pass ends.
+    sum does not depend on where a pass ends, nor on the blockproc.worker_count
+    equal row ranges that a thread pool renders, one per CPU.
     """
     length, sample_rate_hz = stream_meta
     n = config.block_len_n
     hop = config.hop
     ic0 = n // 2  # ceil((n - 1) / 2)
     delta = ic0 - (n - 1) / 2.0
-    last = max((int(estimates.block_index[t[-1]]) for t in tracks if len(t)), default=-1)
+    per_track = []  # its rows, its blocks, and its left and right weight kinds
+    for track in tracks:
+        if not len(track):
+            raise ValueError("cannot synthesize an empty track")
+        blk = estimates.block_index[track]
+        if blk[0] < 0:
+            raise ValueError(f"block_index must be non-negative, got {blk[0]}")
+        step = np.diff(blk)
+        if np.any(step <= 0):
+            raise ValueError("track block indices must be strictly increasing")
+        gap = step > 1
+        per_track.append((track, blk, np.where(np.r_[True, gap], 0, 1),
+                          np.where(np.r_[gap, True], 3, 2)))
+    last = max((int(blk[-1]) for _, blk, _, _ in per_track), default=-1)
     rows = max(-(-(hop - ic0 + length) // hop), last + 2)
     frames = np.zeros((rows, hop), dtype=np.complex128)
     # weight rows: left half-block where a run begins, blend in from the
@@ -149,29 +166,29 @@ def synthesize(
     coarse = np.arange(-hop // s, (hop - 1) // s + 1)
     lo = -hop - s * coarse[0]  # column of offset -hop in the flattened table product
     coarse_dt, fine_dt = (delta + s * coarse) / sample_rate_hz, np.arange(s) / sample_rate_hz
-    chunk = max(1, _CHUNK_SAMPLES // hop)  # entries per pass
+    workers = blockproc.worker_count(rows)
+    chunk = max(1, _CHUNK_SAMPLES // (workers * hop))  # entries per pass of one range
 
-    for track in tracks:
-        if not len(track):
-            raise ValueError("cannot synthesize an empty track")
-        amp, freq, phase, blk = (c[track] for c in (estimates.amp, estimates.freq_hz,
-                                                    estimates.phase_rad, estimates.block_index))
-        if blk[0] < 0:
-            raise ValueError(f"block_index must be non-negative, got {blk[0]}")
-        step = np.diff(blk)
-        if np.any(step <= 0):
-            raise ValueError("track block indices must be strictly increasing")
-        gap = step > 1
-        kind_l, kind_r = np.where(np.r_[True, gap], 0, 1), np.where(np.r_[gap, True], 3, 2)
-        for i in range(0, blk.size, chunk):
-            sl, b = slice(i, i + chunk), blk[i : i + chunk]
-            w = 2.0 * np.pi * freq[sl, None]
-            tables = (amp[sl] * np.exp(1j * phase[sl]))[:, None] * np.exp(1j * (w * coarse_dt))
-            tones = tables[:, :, None] * np.exp(1j * (w * fine_dt))[:, None, :]
-            tones = tones.reshape(len(tables), -1)[:, lo : lo + 2 * hop]
-            frames[_rows(b + 1)] += weights[kind_r[sl]] * tones[:, hop:]
-            frames[_rows(b)] += weights[kind_l[sl]] * tones[:, :hop]
+    def render(r0: int, r1: int) -> None:
+        """Add every entry's halves that fall in frame rows [r0, r1)."""
+        for track, blk, kind_l, kind_r in per_track:
+            # blocks r0-1 .. r1-1: i0..j1 write right halves, j0..i1 left halves
+            i0, j0, j1, i1 = np.searchsorted(blk, (r0 - 1, r0, r1 - 1, r1))
+            for i in range(i0, i1, chunk):
+                k = min(i + chunk, i1)
+                amp, freq, phase = (c[track[i:k]] for c in (estimates.amp, estimates.freq_hz,
+                                                            estimates.phase_rad))
+                w = 2.0 * np.pi * freq[:, None]
+                tables = (amp * np.exp(1j * phase))[:, None] * np.exp(1j * (w * coarse_dt))
+                tones = tables[:, :, None] * np.exp(1j * (w * fine_dt))[:, None, :]
+                tones = tones.reshape(len(tables), -1)[:, lo : lo + 2 * hop]
+                kr, kl = min(k, j1), max(i, j0)
+                frames[_rows(blk[i:kr] + 1)] += weights[kind_r[i:kr]] * tones[: kr - i, hop:]
+                frames[_rows(blk[kl:k])] += weights[kind_l[kl:k]] * tones[kl - i :, :hop]
 
+    edges = [rows * k // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(render, edges[:-1], edges[1:]))  # re-raises a range's error
     return frames.reshape(-1)[hop - ic0 : hop - ic0 + length]
 
 

@@ -152,6 +152,15 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith("error: snr_db must be finite")
         assert not out.exists()
 
+    def test_float32_overflow_is_a_parameter_error(self, tmp_path, capsys):
+        out = tmp_path / "big.iq"
+        assert run(["generate", "--tone", "--amp", "1e39", "--n", "64", "--rate", "1000",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: sample components beyond ±3.4e38 overflow float32")
+        assert not out.exists() or out.stat().st_size == 0  # no sample, so no inf, written
+        assert not (tmp_path / "big.iq.truth.csv").exists()
+
     def test_int8_output(self, tmp_path):
         out = tmp_path / "i8.iq"
         code = run([

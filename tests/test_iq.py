@@ -104,6 +104,61 @@ def test_stream_validation():
         SampleStream(np.array([1.0 + 1j * np.inf]), 1.0)
 
 
+@pytest.mark.parametrize("big", [1e300, np.finfo(np.float64).max])
+def test_stream_accepts_finite_samples_whose_squared_sum_overflows(big):
+    parts = np.array([big, -big, 0.5, -big, big, big], dtype=np.float64)
+    stream = SampleStream(parts.view(np.complex128), 1.0)
+    assert stream.samples.view(np.float64).tobytes() == parts.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("where", [0, 4, 9])
+@pytest.mark.parametrize("strided", [False, True])
+def test_stream_rejects_each_non_finite_component(bad, part, where, strided):
+    samples = np.full(20 if strided else 10, 0.25 - 0.5j)
+    view = samples[::2] if strided else samples
+    getattr(view, part)[where] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        SampleStream(view, 1.0)
+
+
+def test_int8_decode_is_the_scaled_cast_of_every_byte():
+    data = bytes(range(256))
+    want = np.frombuffer(data, np.int8).astype(np.float64) / 128.0 + 0.0
+    got = decode_iq(data, IqFormat.INT8, 1.0).samples.view(np.float64)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_float32_decode_is_the_cast_with_zeros_made_positive():
+    f32 = np.finfo(np.float32)
+    parts = np.array([-0.0, 0.0, f32.smallest_subnormal, -f32.smallest_subnormal,
+                      f32.smallest_normal * 0.75, -f32.smallest_normal, f32.max, -f32.max,
+                      1.0, -1.5], dtype="<f4")
+    want = parts.astype(np.float64) + 0.0
+    got = decode_iq(parts.tobytes(), IqFormat.FLOAT32, 1.0).samples.view(np.float64)
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[:2]).any()
+
+
+@pytest.mark.parametrize("at", [0, 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("component", [3.5e38, -1e39, np.finfo(np.float64).max])
+def test_float32_write_beyond_its_range_is_a_value_error(tmp_path, at, component):
+    """No RuntimeWarning and no inf in the file: the encoder names the overflow."""
+    parts = np.zeros(2 * (2 * CHUNK + 4))
+    parts[at] = component
+    stream = SampleStream(parts.view(np.complex128), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="beyond ±3.4e38 overflow float32"):
+            encode_iq(stream, IqFormat.FLOAT32)
+        with pytest.raises(ValueError, match="beyond ±3.4e38 overflow float32"):
+            write_iq(stream, tmp_path / "x.iq", IqFormat.FLOAT32)
+    parts[at] = np.copysign(float(np.finfo(np.float32).max), component)  # the edge encodes
+    once = encode_iq(SampleStream(parts.view(np.complex128), 1.0), IqFormat.FLOAT32)
+    assert np.frombuffer(once, "<f4")[at] == parts[at]
+
+
 def test_stream_is_immutable():
     stream = SampleStream(np.zeros(4, complex), 1.0)
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stsa import blockproc
 from stsa.blockproc import StsaConfig, process_stream
 from stsa.cli import main
 from stsa.iq import IqFormat, SampleStream, write_iq
@@ -66,12 +67,7 @@ def test_estimator_peaks_under_a_quarter_more_than_the_stream():
     assert peak < 1.25 * samples * np.dtype(np.complex128).itemsize
 
 
-def test_cancel_with_estimate_peaks_under_three_stream_copies(tmp_path):
-    # After the estimator the only stream-length buffers are the input and
-    # the rendered waveform, which becomes the residual; the residual and
-    # estimate files are encoded in chunks.  A third complex128 copy (a
-    # separate residual or estimate array) goes over the bound.
-    samples = 2**20
+def cancel_with_estimate_peak(tmp_path, samples) -> int:
     src = tmp_path / "in.iq"
     write_iq(tone_in_noise(samples), src, IqFormat.FLOAT32)
     codes = []
@@ -79,4 +75,24 @@ def test_cancel_with_estimate_peaks_under_three_stream_copies(tmp_path):
         "cancel", "--in", str(src), "--rate", str(RATE), "--out-residual",
         str(tmp_path / "r.iq"), "--out-estimate", str(tmp_path / "e.iq")])))
     assert codes == [0]
+    return peak
+
+
+def test_cancel_with_estimate_peaks_under_three_stream_copies(tmp_path):
+    # After the estimator the only stream-length buffers are the input and
+    # the rendered waveform, which becomes the residual; the residual and
+    # estimate files are encoded in chunks.  A third complex128 copy (a
+    # separate residual or estimate array) goes over the bound.
+    samples = 2**20
+    peak = cancel_with_estimate_peak(tmp_path, samples)
+    assert peak < 3 * samples * np.dtype(np.complex128).itemsize
+
+
+@pytest.mark.parametrize("workers", [1, 4, 8])
+def test_cancel_peak_holds_at_any_worker_count(tmp_path, monkeypatch, workers):
+    # The estimator's batches and the renderer's passes split a fixed number
+    # of samples in flight among their threads, so more CPUs add no temporaries.
+    monkeypatch.setattr(blockproc, "worker_count", lambda jobs: max(1, min(workers, jobs)))
+    samples = 2**20
+    peak = cancel_with_estimate_peak(tmp_path, samples)
     assert peak < 3 * samples * np.dtype(np.complex128).itemsize

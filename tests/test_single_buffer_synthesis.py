@@ -7,15 +7,19 @@ it, bit-identical to the per-track oracle summed with combine_waveforms.
 The frame-grid synthesize computes each tone from two short phasor tables
 instead of one complex exponential per sample, so it matches slice_synthesize
 to rounding: exact zeros in the same places, samples within 4*N*2**-52 of the
-summed track amplitudes.
+summed track amplitudes.  It renders ranges of frame rows on a thread pool,
+and the number of ranges changes no bit.
 """
+
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stsa import synthesis
+from stsa import blockproc, synthesis
 from stsa.blockproc import Estimates, SinusoidEstimate, StsaConfig, process_stream
 from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm, mix
 from stsa.synthesis import assemble_tracks, combine_waveforms, synthesize
@@ -157,13 +161,25 @@ def assert_matches_oracle(tracks, meta, config, table):
     assert got.tobytes() == want.tobytes()
 
 
+RANGE_COUNTS = (1, 2, 4)
+
+
+def synthesize_in_ranges(ranges, tracks, meta, config, table):
+    """synthesize with its frame rows split into `ranges` ranges."""
+    with mock.patch.object(blockproc, "worker_count", lambda jobs: ranges):
+        return synthesize(tracks, meta, config, table)
+
+
 def assert_close_to_slices(tracks, meta, config, table):
-    """Exact zeros in the same places; samples within 4*N*eps of the summed track peaks.
+    """The same bytes from 1, 2 and 4 row ranges; exact zeros in the same places
+    as the slice renderer, and samples within 4*N*eps of the summed track peaks.
 
     The phase argument 2*pi*f*dt of either renderer reaches pi*N radians, so
     each rounds to about N*eps relative.
     """
-    got = synthesize(tracks, meta, config, table)
+    got, *others = (synthesize_in_ranges(k, tracks, meta, config, table) for k in RANGE_COUNTS)
+    for other in others:
+        assert other.tobytes() == got.tobytes()
     want = slice_synthesize(tracks, meta, config, table)
     assert np.array_equal(got == 0, want == 0)
     scale = sum(table.amp[t].max() for t in tracks)
@@ -291,6 +307,74 @@ def test_negative_block_index_rejected():
         synthesize(tracks, (64, RATE), config, table)
 
 
+def entries_at(blocks, config, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(SinusoidEstimate(rng.uniform(0.1, 2.0), rng.uniform(-RATE / 4, RATE / 4),
+                                  rng.uniform(-np.pi, np.pi), b, 0.0, 0) for b in blocks)
+
+
+@pytest.mark.parametrize("ranges", [1, 4])
+@pytest.mark.parametrize("blocks,message", [
+    ([[0, 1, 2], []], "empty track"),
+    ([[0, 1, 2], [-1, 0]], "block_index must be non-negative"),
+    ([[0, 1, 2], [4, 6, 6]], "strictly increasing"),
+    ([[0, 1, 2], [5, 3, 7]], "strictly increasing"),
+])
+def test_track_errors_are_raised_before_any_range_renders(ranges, blocks, message):
+    config = StsaConfig(block_len_n=8)
+    table, tracks = table_helpers.tracks_table([entries_at(b, config, 3) for b in blocks])
+    with pytest.raises(ValueError, match=message):
+        synthesize_in_ranges(ranges, tracks, (64, RATE), config, table)
+
+
+@pytest.mark.parametrize("n,overlap", [(16, "none"), (15, "none"), (16, "half"), (9, "none")])
+def test_row_ranges_change_no_bit(n, overlap):
+    """Range edges fall inside runs, inside gaps and on run ends; one track
+    starts at block 0 and one ends on the last frame row.
+
+    Track 0 covers every block, so each row sums several tracks, where an add
+    order that changed with the split would show.
+    """
+    config = StsaConfig(block_len_n=n, overlap=overlap)
+    spans = [range(0, 23), [*range(0, 5), *range(9, 14), 17, 19, 20, 22], range(11, 23),
+             [2, 4, 6, 8, 10], [*range(5, 12), *range(14, 16)]]
+    table, tracks = table_helpers.tracks_table(
+        [entries_at(b, config, seed) for seed, b in enumerate(spans)])
+    # the last block's right half fills the last row, which the stream ends in
+    meta = (22 * config.hop + n, RATE)
+    assert -(-(config.hop - n // 2 + meta[0]) // config.hop) == 22 + 2
+    want = synthesize_in_ranges(1, tracks, meta, config, table)
+    for ranges in (2, 3, 4, 7):
+        got = synthesize_in_ranges(ranges, tracks, meta, config, table)
+        assert got.tobytes() == want.tobytes()
+    assert_close_to_slices(tracks, meta, config, table)
+
+
+def test_row_ranges_render_on_several_threads(monkeypatch):
+    """With two ranges, two threads render, at the same time.
+
+    Each thread's first frame write waits for the other's at a barrier, which
+    a single thread would leave broken after the timeout.
+    """
+    config = StsaConfig(block_len_n=16)
+    table, tracks = table_helpers.tracks_table([entries_at(range(0, 40), config, 5)])
+    monkeypatch.setattr(blockproc, "worker_count", lambda jobs: 2)
+    rows, barrier, threads = synthesis._rows, threading.Barrier(2, timeout=30), set()
+
+    def recorded(*args):
+        if threading.get_ident() not in threads:
+            threads.add(threading.get_ident())
+            barrier.wait()
+        return rows(*args)
+
+    monkeypatch.setattr(synthesis, "_rows", recorded)
+    wave = synthesize(tracks, (40 * 16, RATE), config, table)
+    assert len(threads) == 2
+    monkeypatch.setattr(synthesis, "_rows", rows)
+    assert wave.tobytes() == synthesize_in_ranges(1, tracks, (40 * 16, RATE), config,
+                                                  table).tobytes()
+
+
 @pytest.mark.parametrize("n,overlap", [(16, "none"), (15, "none"), (16, "half")])
 def test_chunk_size_does_not_change_the_sum(monkeypatch, n, overlap):
     """Every row sums its contributions in one order, whatever entries share a pass.
@@ -306,6 +390,7 @@ def test_chunk_size_does_not_change_the_sum(monkeypatch, n, overlap):
                                rng.uniform(-np.pi, np.pi), b, 0.0, 0) for b in blocks)
         for blocks in spans])
     meta = (39 * config.hop + n, RATE)
+    monkeypatch.setattr(blockproc, "worker_count", lambda jobs: 1)  # the budget is one range's
     monkeypatch.setattr(synthesis, "_CHUNK_SAMPLES", 2**30)  # one pass per track
     want = synthesize(tracks, meta, config, table)
     for entries in (1, 2, 3, 7, 16):
