@@ -13,6 +13,7 @@ convention); it travels as sidecar metadata and must be supplied on read.
 from __future__ import annotations
 
 import enum
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -156,5 +157,10 @@ def write_iq(stream: SampleStream, path, fmt: IqFormat,
     """
     if minus is not None and len(minus) != len(stream):
         raise ValueError(f"length mismatch: {len(stream)} samples minus {len(minus)}")
-    with open(path, "wb") as fh:  # each chunk's own buffer is written, not a bytes copy
-        fh.writelines(_encode(stream.samples, fmt, None if minus is None else minus.samples))
+    try:
+        with open(path, "wb") as fh:  # each chunk's own buffer is written, not a bytes copy
+            fh.writelines(_encode(stream.samples, fmt, None if minus is None else minus.samples))
+    except ValueError:  # an unencodable sample: leave no empty or partial file behind
+        if os.path.isfile(path):  # never a device or a FIFO such as /dev/null
+            os.remove(path)
+        raise

@@ -26,11 +26,11 @@ from stsa.metrics import (
     power_spectrum,
     suppression_report,
 )
-from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm, gen_tone, mix
+from stsa.siggen import gen_tone, mix
 from stsa.synthesis import assemble_tracks, cancel, synthesize
+from scenarios import FM_CONFIG, RATE, STATIONS_CONFIG, fm_spec, fm_stream, three_station_stream
 from table_helpers import tracks_table
 
-RATE = 2048000.0
 N = 256
 
 
@@ -43,18 +43,9 @@ def report(criterion: str, ok: bool, detail: str):
 @pytest.fixture(scope="module")
 def fm_scenario():
     """The narrowband-FM reproduction run shared by criteria 1-4."""
-    spec = NbfmSpec(
-        carrier_offset_hz=0.0,
-        deviation_hz=4000.0,
-        duration_s=1.0,
-        mod_noise_bw_hz=1000.0,
-        mod_noise_seed=7,
-        mod_noise_rms=0.9,
-    )
-    clean, truth = gen_nbfm(spec, RATE)
-    band = spec.carson_band_hz()
-    noisy = add_awgn(clean, 34.0, band, 99)
-    config = StsaConfig(block_len_n=N, detect_threshold_db=9.0, max_peel=3)
+    band = fm_spec(1.0).carson_band_hz()
+    noisy = fm_stream(1.0)
+    config = FM_CONFIG
     t_start = time.perf_counter()
     single = run_cancel(noisy, config, passes=1)
     runtime_s = time.perf_counter() - t_start
@@ -193,18 +184,8 @@ def test_criterion_5_stationary_tone_oracles():
 
 
 def test_criterion_6_multi_signal_peel():
-    stations = [(-25000.0, 1.0, 31), (0.0, 10 ** -0.5, 32), (25000.0, 10 ** -0.7, 33)]
-    streams = []
-    for offset, amp, seed in stations:
-        spec = NbfmSpec(carrier_offset_hz=offset, deviation_hz=4000.0, duration_s=1.0,
-                        amp=amp, mod_noise_bw_hz=1000.0, mod_noise_seed=seed)
-        streams.append(gen_nbfm(spec, RATE)[0])
-    mixed = mix(streams)
-    # calibrate the common floor so the strongest station sees 34 dB in its band
-    snr_arg = 34.0 + 10 * np.log10(mixed.power() / streams[0].power())
-    noisy = add_awgn(mixed, snr_arg, (-30000.0, -20000.0), 44)
-
-    config = StsaConfig(detect_threshold_db=12.0)
+    noisy = three_station_stream()
+    config = STATIONS_CONFIG
     blocks = process_stream(noisy, config)
     tracks = assemble_tracks(blocks, config, RATE)
     covered = sorted(

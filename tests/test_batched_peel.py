@@ -42,10 +42,10 @@ from stsa.blockproc import (
     wrap_phase,
 )
 from stsa.iq import SampleStream
-from stsa.siggen import NbfmSpec, add_awgn, gen_am, gen_nbfm, gen_tone, mix
+from stsa.siggen import add_awgn, gen_am, gen_tone, mix
+from scenarios import FM_CONFIG, RATE, STATIONS_CONFIG, fm_stream, three_station_stream
 from table_helpers import estimates_table
 
-RATE = 2048000.0
 N = 256
 
 
@@ -226,41 +226,24 @@ def assert_matches_oracle(stream, config):
     return total, flips
 
 
-def fm_stream(duration_s=1.0):
-    spec = NbfmSpec(carrier_offset_hz=0.0, deviation_hz=4000.0, duration_s=duration_s,
-                    mod_noise_bw_hz=1000.0, mod_noise_seed=7, mod_noise_rms=0.9)
-    clean, _ = gen_nbfm(spec, RATE)
-    return add_awgn(clean, 34.0, spec.carson_band_hz(), 99)
-
-
 def noisy_tones(tones, n_samples, seed, snr_db=30.0):
     streams = [gen_tone(amp, f, psi, n_samples, RATE)[0] for amp, f, psi in tones]
     return add_awgn(mix(streams), snr_db, (-50000.0, 50000.0), seed)
 
 
 def test_acceptance_fm_scenario():
-    stream = fm_stream()
-    config = StsaConfig(block_len_n=N, detect_threshold_db=9.0, max_peel=3)
+    stream = fm_stream(1.0)
     # 8,000 blocks also leave a partial last batch
     batch = blockproc._POOL_SAMPLES // (blockproc.worker_count(8000) * N)
     assert (len(stream) // N) % batch != 0
-    total, _ = assert_matches_oracle(stream, config)
+    total, _ = assert_matches_oracle(stream, FM_CONFIG)
     assert total == 15478
-    assert_equals_reference(stream, config)
+    assert_equals_reference(stream, FM_CONFIG)
 
 
 def test_three_station_mixture():
-    streams = []
-    for offset, amp, seed in [(-25000.0, 1.0, 31), (0.0, 10 ** -0.5, 32),
-                              (25000.0, 10 ** -0.7, 33)]:
-        spec = NbfmSpec(carrier_offset_hz=offset, deviation_hz=4000.0, duration_s=1.0,
-                        amp=amp, mod_noise_bw_hz=1000.0, mod_noise_seed=seed)
-        streams.append(gen_nbfm(spec, RATE)[0])
-    mixed = mix(streams)
-    snr_arg = 34.0 + 10 * np.log10(mixed.power() / streams[0].power())
-    noisy = add_awgn(mixed, snr_arg, (-30000.0, -20000.0), 44)
-    assert_matches_oracle(noisy, StsaConfig(detect_threshold_db=12.0))
-    assert_equals_reference(noisy, StsaConfig(detect_threshold_db=12.0))
+    assert_matches_oracle(three_station_stream(), STATIONS_CONFIG)
+    assert_equals_reference(three_station_stream(), STATIONS_CONFIG)
 
 
 def test_stationary_tone():
@@ -292,8 +275,8 @@ def test_many_batches_with_partial_last(monkeypatch):
     monkeypatch.setattr(blockproc, "worker_count", lambda jobs: 2)
     stream = fm_stream(0.01)
     assert (len(stream) // N) % 7 != 0
-    assert_matches_oracle(stream, StsaConfig(detect_threshold_db=9.0, max_peel=3))
-    assert_equals_reference(stream, StsaConfig(detect_threshold_db=9.0, max_peel=3))
+    assert_matches_oracle(stream, FM_CONFIG)
+    assert_equals_reference(stream, FM_CONFIG)
 
 
 def test_all_zero_blocks():
@@ -351,7 +334,7 @@ def am_stream(duration_s):
 
 
 BATCH_CASES = {
-    "fm": (lambda: fm_stream(0.1), StsaConfig(detect_threshold_db=9.0, max_peel=3)),
+    "fm": (lambda: fm_stream(0.1), FM_CONFIG),
     "am_n2048": (lambda: am_stream(0.5), StsaConfig(block_len_n=2048, window="hamming",
                                                     detect_threshold_db=12.0, max_peel=2)),
 }
@@ -406,7 +389,6 @@ def test_worker_count_changes_no_value(monkeypatch):
     """
     monkeypatch.setattr(blockproc, "_POOL_SAMPLES", 7 * N)
     stream = fm_stream(0.05)
-    config = StsaConfig(detect_threshold_db=9.0, max_peel=3)
     assert (len(stream) // N) % 7 != 0
     tables = []
     interval = sys.getswitchinterval()
@@ -414,7 +396,7 @@ def test_worker_count_changes_no_value(monkeypatch):
         sys.setswitchinterval(1e-5)
         for workers in (1, 2, 4):
             monkeypatch.setattr(blockproc, "worker_count", lambda jobs, k=workers: k)
-            tables.append(process_stream(stream, config))
+            tables.append(process_stream(stream, FM_CONFIG))
     finally:
         sys.setswitchinterval(interval)
     for other in tables[1:]:

@@ -1,5 +1,6 @@
 """The columnar estimate table: block views, no per-estimate objects in the
-pipeline, and the benchmark tracer's counts over it."""
+pipeline, and the benchmark tracer's counts over it; and the benchmark's
+reference workload against the acceptance capture."""
 
 import importlib
 from pathlib import Path
@@ -8,22 +9,12 @@ import pytest
 
 import stsa
 from stsa import blockproc, run_cancel
-from stsa.blockproc import BlockEstimates, SinusoidEstimate, StsaConfig
-from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm
+from stsa.blockproc import BlockEstimates, SinusoidEstimate
 from stsa.synthesis import write_tracks_csv
+from scenarios import FM_CONFIG, fm_stream
 from table_helpers import estimates_table
 
-RATE = 2048000.0
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-FM_CONFIG = StsaConfig(detect_threshold_db=9.0, max_peel=3)
-
-
-def fm_stream(duration_s):
-    """The acceptance FM scenario, or its first duration_s seconds."""
-    spec = NbfmSpec(carrier_offset_hz=0.0, deviation_hz=4000.0, duration_s=duration_s,
-                    mod_noise_bw_hz=1000.0, mod_noise_seed=7, mod_noise_rms=0.9)
-    clean, _ = gen_nbfm(spec, RATE)
-    return add_awgn(clean, 34.0, spec.carson_band_hz(), 99)
 
 
 def test_block_views():
@@ -79,3 +70,12 @@ def test_benchmark_tracer_counts_the_table(monkeypatch):
     assert metrics["blockproc.estimates"][0] == table.freq_hz.size
     assert metrics["synthesis.tracks"][0] == len(tracks)
     assert metrics["synthesis.tracks_long"][0] == sum(len(t) > len(table) // 2 for t in tracks)
+
+
+def test_benchmark_fm_ref_is_the_acceptance_capture(monkeypatch):
+    """perfbench/workloads.py's fm_ref at seed 0, on which the golden digests rest."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    built = workloads.WORKLOADS["fm_ref"].build(stsa.siggen, 0)
+    assert built.sample_rate_hz == fm_stream(1.0).sample_rate_hz
+    assert built.samples.tobytes() == fm_stream(1.0).samples.tobytes()

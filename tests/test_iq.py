@@ -144,16 +144,20 @@ def test_float32_decode_is_the_cast_with_zeros_made_positive():
 @pytest.mark.parametrize("at", [0, 1, 2 * CHUNK + 1])
 @pytest.mark.parametrize("component", [3.5e38, -1e39, np.finfo(np.float64).max])
 def test_float32_write_beyond_its_range_is_a_value_error(tmp_path, at, component):
-    """No RuntimeWarning and no inf in the file: the encoder names the overflow."""
+    """No RuntimeWarning and no file left: the encoder names the overflow."""
     parts = np.zeros(2 * (2 * CHUNK + 4))
     parts[at] = component
     stream = SampleStream(parts.view(np.complex128), 1.0)
+    old = tmp_path / "old.iq"
+    old.write_bytes(b"an earlier capture")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="beyond ±3.4e38 overflow float32"):
             encode_iq(stream, IqFormat.FLOAT32)
-        with pytest.raises(ValueError, match="beyond ±3.4e38 overflow float32"):
-            write_iq(stream, tmp_path / "x.iq", IqFormat.FLOAT32)
+        for path in (tmp_path / "new.iq", old):
+            with pytest.raises(ValueError, match="beyond ±3.4e38 overflow float32"):
+                write_iq(stream, path, IqFormat.FLOAT32)
+            assert not path.exists()  # neither empty nor partial
     parts[at] = np.copysign(float(np.finfo(np.float32).max), component)  # the edge encodes
     once = encode_iq(SampleStream(parts.view(np.complex128), 1.0), IqFormat.FLOAT32)
     assert np.frombuffer(once, "<f4")[at] == parts[at]

@@ -12,12 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stsa.blockproc import SinusoidEstimate, StsaConfig, process_stream
-from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm
 from stsa.synthesis import assemble_tracks
+from scenarios import FM_CONFIG, RATE, fm_stream
 from table_helpers import estimates_table
-
-RATE = 2048000.0
-FM_CONFIG = StsaConfig(detect_threshold_db=9.0, max_peel=3)
 
 
 def all_pairs_assemble(estimates, config, sample_rate_hz, jump_limit_bins):
@@ -54,10 +51,7 @@ def assert_same_tracks(got, want):
 
 @pytest.fixture(scope="module")
 def fm_estimates():
-    spec = NbfmSpec(carrier_offset_hz=0.0, deviation_hz=4000.0, duration_s=1.0,
-                    mod_noise_bw_hz=1000.0, mod_noise_seed=7, mod_noise_rms=0.9)
-    clean, _ = gen_nbfm(spec, RATE)
-    return process_stream(add_awgn(clean, 34.0, spec.carson_band_hz(), 99), FM_CONFIG)
+    return process_stream(fm_stream(1.0), FM_CONFIG)
 
 
 @pytest.mark.parametrize("jump_limit_bins,n_tracks", [(0.5, 43), (0.1, 97), (0.02, 205)])

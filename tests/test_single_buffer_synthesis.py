@@ -21,11 +21,9 @@ from hypothesis import strategies as st
 
 from stsa import blockproc, synthesis
 from stsa.blockproc import Estimates, SinusoidEstimate, StsaConfig, process_stream
-from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm, mix
 from stsa.synthesis import assemble_tracks, combine_waveforms, synthesize
+from scenarios import FM_CONFIG, RATE, STATIONS_CONFIG, fm_stream, three_station_stream
 import table_helpers
-
-RATE = 2048000.0
 
 
 def _tone_at(est: SinusoidEstimate, sample_indices: np.ndarray, center_index: float,
@@ -194,28 +192,15 @@ def stream_tracks(stream, config):
 
 
 def test_acceptance_fm_scenario():
-    spec = NbfmSpec(carrier_offset_hz=0.0, deviation_hz=4000.0, duration_s=1.0,
-                    mod_noise_bw_hz=1000.0, mod_noise_seed=7, mod_noise_rms=0.9)
-    clean, _ = gen_nbfm(spec, RATE)
-    noisy = add_awgn(clean, 34.0, spec.carson_band_hz(), 99)
-    config = StsaConfig(detect_threshold_db=9.0, max_peel=3)
-    tracks, table = stream_tracks(noisy, config)
+    noisy = fm_stream(1.0)
+    tracks, table = stream_tracks(noisy, FM_CONFIG)
     assert len(tracks) == 43
-    assert_matches_oracle(tracks, (len(noisy), RATE), config, table)
-    assert_close_to_slices(tracks, (len(noisy), RATE), config, table)
+    assert_matches_oracle(tracks, (len(noisy), RATE), FM_CONFIG, table)
+    assert_close_to_slices(tracks, (len(noisy), RATE), FM_CONFIG, table)
 
 
 def test_three_station_mixture():
-    streams = []
-    for offset, amp, seed in [(-25000.0, 1.0, 31), (0.0, 10 ** -0.5, 32),
-                              (25000.0, 10 ** -0.7, 33)]:
-        spec = NbfmSpec(carrier_offset_hz=offset, deviation_hz=4000.0, duration_s=1.0,
-                        amp=amp, mod_noise_bw_hz=1000.0, mod_noise_seed=seed)
-        streams.append(gen_nbfm(spec, RATE)[0])
-    mixed = mix(streams)
-    snr_arg = 34.0 + 10 * np.log10(mixed.power() / streams[0].power())
-    noisy = add_awgn(mixed, snr_arg, (-30000.0, -20000.0), 44)
-    config = StsaConfig(detect_threshold_db=12.0)
+    noisy, config = three_station_stream(), STATIONS_CONFIG
     tracks, table = stream_tracks(noisy, config)
     assert sum(1 for t in tracks if len(t) > len(noisy) // (2 * config.block_len_n)) == 3
     assert_matches_oracle(tracks, (len(noisy), RATE), config, table)

@@ -5,12 +5,12 @@ import pytest
 
 from stsa.blockproc import SinusoidEstimate, StsaConfig, process_stream
 from stsa.iq import SampleStream
-from stsa.siggen import add_awgn, gen_tone, mix
+from stsa.siggen import gen_tone, mix
 from stsa.synthesis import assemble_tracks, cancel, combine_waveforms, synthesize, write_tracks_csv
+from scenarios import FM_CONFIG, RATE, fm_stream
 import table_helpers
 from table_helpers import estimates_table, tracks_table
 
-RATE = 2048000.0
 N = 256
 
 
@@ -153,13 +153,7 @@ class TestSynthesize:
         # Rendered waveform of a modulated carrier stays within 3x the
         # inter-sample step of an ideal continuous-phase tone at the band
         # edge with the track's peak amplitude.
-        from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm
-
-        spec = NbfmSpec(carrier_offset_hz=0.0, deviation_hz=4000.0, duration_s=0.2,
-                        mod_noise_bw_hz=1000.0, mod_noise_seed=7, mod_noise_rms=0.9)
-        clean, _ = gen_nbfm(spec, RATE)
-        noisy = add_awgn(clean, 34.0, spec.carson_band_hz(), 99)
-        cfg = StsaConfig(detect_threshold_db=9.0, max_peel=3)
+        noisy, cfg = fm_stream(0.2), FM_CONFIG
         blocks = process_stream(noisy, cfg)
         tracks = assemble_tracks(blocks, cfg, RATE)
         main = max(tracks, key=lambda rows: sum(a**2 for a in blocks.amp[rows].tolist()))
