@@ -18,7 +18,6 @@ from .metrics import (
     DynamicSpectrum,
     SpectrumFrame,
     SuppressionReport,
-    band_power,
     dynamic_spectrum,
     power_spectrum,
     suppression_report,
@@ -44,7 +43,6 @@ __all__ = [
     "TruthRecord",
     "add_awgn",
     "assemble_tracks",
-    "band_power",
     "cancel",
     "combine_waveforms",
     "dynamic_spectrum",

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -91,24 +90,6 @@ class StsaConfig:
 
     def fine_step_hz(self, sample_rate_hz: float) -> float:
         return self.fine_grid_fraction * self.bin_width_hz(sample_rate_hz)
-
-    def check_short_term(self, sample_rate_hz: float, signal_bandwidth_hz: float) -> bool:
-        """Warn when the block is too long for a signal of the given bandwidth.
-
-        The stationary approximation needs roughly Fs >= N*B; returns True
-        when that holds.  The bandwidth must be positive and finite.
-        """
-        if not 0 < signal_bandwidth_hz < math.inf:
-            raise ValueError(
-                f"signal_bandwidth_hz must be positive and finite, got {signal_bandwidth_hz}")
-        ok = self.block_len_n <= sample_rate_hz / signal_bandwidth_hz
-        if not ok:
-            warnings.warn(
-                f"block_len_n={self.block_len_n} exceeds Fs/B="
-                f"{sample_rate_hz / signal_bandwidth_hz:.0f}; "
-                "short-term sinusoidal condition violated"
-            )
-        return ok
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -147,7 +148,18 @@ def _sample_count(args) -> int:
     return int(round(args.dur * args.rate))
 
 
+def _check_distinct_outputs(*paths) -> None:
+    """Reject two output paths that resolve to one file, unless it exists and is not a
+    regular file: /dev/null may repeat, as write_iq never removes such a file."""
+    real = [os.path.realpath(p) for p in paths if p is not None]
+    for path in real:
+        if real.count(path) > 1 and (os.path.isfile(path) or not os.path.exists(path)):
+            raise ValueError(f"two output flags name one file, {path}")
+
+
 def cmd_generate(args) -> int:
+    truth_path = args.truth or args.out + ".truth.csv"
+    _check_distinct_outputs(args.out, truth_path)
     fmt = IqFormat(args.format)
     n = _sample_count(args)
     snr_band = tuple(args.snr_band) if args.snr_band else None
@@ -179,7 +191,7 @@ def cmd_generate(args) -> int:
         print(f"in-band SNR {args.snr:.1f} dB over {snr_band[0]:.0f}..{snr_band[1]:.0f} Hz "
               f"(full-band {full_band_snr:.1f} dB)")
     iq.write_iq(stream, args.out, fmt)
-    siggen.write_truth_csv(truth, args.truth or args.out + ".truth.csv")
+    siggen.write_truth_csv(truth, truth_path)
     print(f"wrote {len(stream)} samples to {args.out}")
     return 0
 
@@ -190,6 +202,7 @@ def cmd_cancel(args) -> int:
     fmt = IqFormat(args.format)
     if args.report and not args.band:
         raise ValueError("--report needs --band")
+    _check_distinct_outputs(args.out_residual, args.out_estimate, args.out_tracks, args.report)
     pipeline.check_settings(args.passes, args.jump_limit)
     empty = iq.SampleStream([], args.rate)  # checks --rate and --band before the input is read
     band = empty.check_band(args.band) if args.band else None

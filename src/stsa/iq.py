@@ -66,10 +66,6 @@ class SampleStream:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
     def check_band(self, band_hz) -> tuple[float, float]:
         """band_hz as (lo, hi), if -nyq <= lo < hi <= nyq for the Nyquist frequency nyq = Fs/2."""
         lo, hi = band_hz

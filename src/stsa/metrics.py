@@ -130,19 +130,6 @@ def frame_band_power(frame: SpectrumFrame, band_hz: tuple[float, float]) -> floa
     return float(np.sum(frame.power[mask]) * frame.resolution_hz)
 
 
-def band_power(stream: SampleStream, band_hz: tuple[float, float],
-               resolution_hz: float | None = None) -> float:
-    """Band-integrated power.
-
-    With resolution_hz None a single full-length periodogram is used, which
-    keeps Parseval exact over the whole stream.
-    """
-    stream.check_band(band_hz)
-    if resolution_hz is None:
-        resolution_hz = stream.sample_rate_hz / len(stream)
-    return frame_band_power(power_spectrum(stream, resolution_hz), band_hz)
-
-
 def _log_ratio_db(numerator: float, denominator: float) -> float:
     # Computed as a difference of logs so that swapping the arguments negates
     # the result exactly.

@@ -96,20 +96,10 @@ class NbfmSpec:
         if self.mod_noise_rms is not None and not 0 < self.mod_noise_rms < 1:
             raise ValueError("mod_noise_rms must lie in (0, 1)")
 
-    @property
-    def max_mod_freq_hz(self) -> float:
-        if self.mod_tones:
-            return max(f for f, _ in self.mod_tones)
-        if self.mod_noise_bw_hz is not None:
-            return self.mod_noise_bw_hz
-        return 0.0
-
-    def carson_bandwidth_hz(self) -> float:
-        """Occupied bandwidth per Carson's rule: 2*(deviation + highest mod frequency)."""
-        return 2.0 * (self.deviation_hz + self.max_mod_freq_hz)
-
     def carson_band_hz(self) -> tuple[float, float]:
-        half = self.carson_bandwidth_hz() / 2.0
+        """Occupied band per Carson's rule: carrier ± (deviation + highest mod frequency)."""
+        f_max = max(f for f, _ in self.mod_tones) if self.mod_tones else self.mod_noise_bw_hz or 0.0
+        half = self.deviation_hz + f_max
         return (self.carrier_offset_hz - half, self.carrier_offset_hz + half)
 
 

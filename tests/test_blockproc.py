@@ -102,20 +102,6 @@ class TestConfig:
         assert cfg.bin_width_hz(RATE) == 8000.0
         assert cfg.fine_step_hz(RATE) == 80.0
 
-    def test_short_term_condition_warning(self):
-        cfg = StsaConfig(block_len_n=256)
-        with pytest.warns(UserWarning, match="short-term"):
-            ok = cfg.check_short_term(RATE, 10000.0)  # Fs/B = 204.8 < 256
-        assert not ok
-        assert cfg.check_short_term(RATE, 1000.0)
-
-    @pytest.mark.parametrize("bandwidth", [0.0, -5.0, np.nan, np.inf])
-    def test_short_term_bandwidth_must_be_positive_and_finite(self, bandwidth):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # rejected before any Fs/B warning
-            with pytest.raises(ValueError, match="signal_bandwidth_hz must be positive and finite"):
-                StsaConfig().check_short_term(RATE, bandwidth)
-
 
 class TestWindows:
     def test_rectangular_is_identity(self):

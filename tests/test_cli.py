@@ -549,6 +549,30 @@ class TestParameterErrors:
         self.expect_error(capsys, ["cancel", "--in", str(tmp_path / "missing.iq"), "--rate", RATE,
                                    setting, "--out-residual", str(resid)], message, [resid])
 
+    @pytest.mark.parametrize("argv", [
+        ["cancel", "--in", "missing.iq", "--rate", RATE, "--out-residual", "e.iq",
+         "--out-estimate", "e.iq"],
+        ["cancel", "--in", "missing.iq", "--rate", RATE, "--out-residual", "r.iq",
+         "--band", "-5000", "5000", "--out-tracks", "t.csv", "--report", "t.csv"],
+        ["cancel", "--in", "missing.iq", "--rate", RATE, "--out-residual", "./d/../r.iq",
+         "--out-tracks", "{tmp}/r.iq"],
+        ["generate", "--tone", "--n", "64", "--rate", "1000", "--out", "x.iq", "--truth", "x.iq"],
+    ], ids=["residual-estimate", "tracks-report", "relative-absolute", "generate-truth"])
+    def test_two_outputs_that_name_one_file_are_rejected_before_the_input_is_read(
+            self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        self.expect_error(capsys, [a.format(tmp=tmp_path) for a in argv],
+                          "two output flags name one file, ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_device_may_take_several_outputs(self, tmp_path, capsys):
+        src = self.tone_file(tmp_path, n=2560)
+        assert run(["cancel", "--in", str(src), "--rate", RATE, "--out-residual", "/dev/null",
+                    "--out-estimate", "/dev/null", "--out-tracks", "/dev/null"]) == 0
+        assert run(["generate", "--tone", "--n", "64", "--rate", "1000", "--out", "/dev/null",
+                    "--truth", "/dev/null"]) == 0
+        assert list(tmp_path.iterdir()) == [src]
+
     @pytest.mark.parametrize("argv,message", [
         (["cancel", "--band", "5", "1"], "band (5.0, 1.0) is not increasing"),
         (["cancel", "--band", "0", "2e6"], "band (0.0, 2000000.0) is not increasing"),

@@ -1,18 +1,24 @@
-"""Covariance properties of the whole cancel pipeline.
+"""Covariance properties of the cancel pipeline.
 
 Multiplying a capture by a power of two 2**k scales every floating-point
 operand and result of run_cancel exactly, barring overflow and underflow: the
 estimator normalizes each block by a power of two, the renderer and the
 subtraction are products and sums, and float32 rounding commutes with the
 scale.  So the outputs must scale bit for bit.
+
+Conjugating a capture mirrors its spectrum, so the estimator must find the same
+sinusoids with frequency and phase negated.  This holds to rounding, not bit
+for bit: the mirrored FFT, mixer and bank products round differently.  It is
+checked on the estimate table only, since track assembly breaks exact ties of
+its nearest-distance and jump-limit rules by that rounding.
 """
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stsa import run_cancel
-from stsa.blockproc import OVERLAP_MODES, StsaConfig
+from stsa.blockproc import OVERLAP_MODES, StsaConfig, process_stream, wrap_phase
 from stsa.iq import IqFormat, SampleStream
 from stsa.siggen import add_awgn, gen_tone, mix
 
@@ -26,12 +32,13 @@ def scaled(values: np.ndarray, k: int) -> np.ndarray:
 
 
 @st.composite
-def noisy_tones(draw):
-    """1-3 tones of random amplitude, frequency and phase, under white noise."""
-    n = draw(st.sampled_from([16, 64, 256]))
+def noisy_tones(draw, sizes=(16, 64, 256), margin_bins=0.0):
+    """1-3 tones of random amplitude, frequency and phase, under white noise,
+    within 0.45 Fs of 0 Hz and at least margin_bins bins inside ±Fs/2."""
+    n = draw(st.sampled_from(sizes))
     length = n * draw(st.integers(2, 12)) + draw(st.integers(0, n - 1))
-    tone = st.tuples(st.floats(0.1, 2.0), st.floats(-0.45 * RATE, 0.45 * RATE),
-                     st.floats(-np.pi, np.pi))
+    f_max = min(0.45, 0.5 - margin_bins / n) * RATE
+    tone = st.tuples(st.floats(0.1, 2.0), st.floats(-f_max, f_max), st.floats(-np.pi, np.pi))
     tones = [gen_tone(a, f, psi, length, RATE)[0]
              for a, f, psi in draw(st.lists(tone, min_size=1, max_size=3))]
     snr_db, seed = draw(st.floats(10.0, 40.0)), draw(st.integers(0, 2**32 - 1))
@@ -62,3 +69,45 @@ def test_scaling_the_capture_by_a_power_of_two_scales_run_cancel_exactly(
             assert getattr(got_est, name).tobytes() == getattr(want_est, name).tobytes()
     assert [[t.tolist() for t in p] for p in got.tracks_per_pass] == \
         [[t.tolist() for t in p] for p in want.tracks_per_pass]
+
+
+# Bounds: 6-9 times the largest error seen over 6,000 random captures of this kind at
+# 2.048 MHz (~150,000 estimates): 1.1e-16 Fs in frequency, 1.3e-13 relative in amplitude
+# and 1.7e-13 rad in phase.
+FREQ_BOUND_HZ = 1e-15 * RATE
+AMP_BOUND = 1e-12
+PHASE_BOUND_RAD = 1e-12
+
+
+@given(capture=noisy_tones(sizes=(8, 9, 16, 17, 32, 33, 64), margin_bins=1.0),
+       half_overlap=st.booleans(), threshold_db=st.sampled_from([6.0, 10.0]),
+       max_peel=st.integers(1, 3))
+@example(capture=(8, add_awgn(SampleStream(0.7 * np.exp(1j * (np.pi * np.arange(96) + 0.3)),
+                                            RATE), 20.0, (-RATE / 2, RATE / 2), 3)),
+         half_overlap=False, threshold_db=10.0, max_peel=2)  # a tone at the Nyquist frequency
+def test_conjugating_the_capture_mirrors_every_estimate(capture, half_overlap, threshold_db,
+                                                        max_peel):
+    n, stream = capture
+    config = StsaConfig(block_len_n=n, overlap="half" if half_overlap and n % 2 == 0 else "none",
+                        detect_threshold_db=threshold_db, max_peel=max_peel)
+    want = process_stream(stream, config)
+    got = process_stream(SampleStream(np.conj(stream.samples), RATE), config)
+
+    assert got.block_index.tolist() == want.block_index.tolist()
+    assert got.peel_rank.tolist() == want.peel_rank.tolist()
+    freq, phase = -want.freq_hz, -want.phase_rad
+    # ±Fs/2 is one frequency, and an estimate there may mirror to either sign of it; the
+    # same sinusoid then has its phase turned by pi*(N-1), as the estimator's fold turns it
+    wrapped = np.abs(got.freq_hz - freq) > RATE / 2
+    freq[wrapped] += np.sign(got.freq_hz[wrapped]) * RATE
+    phase[wrapped] += np.pi * (n - 1)
+    error = np.abs(got.freq_hz - freq)
+    moved = np.flatnonzero(error > FREQ_BOUND_HZ)
+    blocks, first = np.unique(got.block_index[moved], return_index=True)
+    # as against the per-block oracle, a near-tie on the fine grid may move one step (the
+    # bank's tie order 0, -1, +1, ... is not symmetric); later peels see another residual
+    assert np.all(error[moved[first]] <= config.fine_step_hz(RATE) * (1 + 1e-9))
+    assert blocks.size <= 1e-3 * error.size
+    kept = ~np.isin(got.block_index, blocks)
+    assert np.all(np.abs(got.amp - want.amp)[kept] <= AMP_BOUND * want.amp[kept])
+    assert np.all(np.abs(wrap_phase(got.phase_rad - phase))[kept] <= PHASE_BOUND_RAD)

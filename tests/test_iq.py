@@ -322,8 +322,7 @@ def test_check_band_accepts_the_whole_nyquist_span():
     assert stream.check_band((-1.0, 0.0)) == (-1.0, 0.0)
 
 
-def test_duration_and_empty_power():
-    assert SampleStream(np.ones(6, complex), 4.0).duration_s == 1.5
+def test_empty_stream_power_is_zero():
     assert SampleStream(np.zeros(0, complex), 4.0).power() == 0.0
 
 
