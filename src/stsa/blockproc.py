@@ -7,7 +7,7 @@ independent, so an iterative peel loop processes a whole batch of them at once:
   2. locate the strongest FFT bin and compare it against a median-based noise
      floor; stop when nothing clears the detection threshold,
   3. refine the frequency by maximizing |sum_k y_w[k] * exp(-j*2*pi*f*t_k)|
-     over a uniform grid finer than the bin spacing,
+     over a uniform grid finer than the bin spacing (from 22 node correlations),
   4. read magnitude and phase off the same correlation, undo the window's
      coherent gain,
   5. subtract the estimated sinusoid from the unwindowed residual and repeat.
@@ -199,6 +199,23 @@ def _correlation_bank(n, sample_rate_hz, fraction):
     return offsets_hz, bank
 
 
+@lru_cache(maxsize=8)
+def _search_factors(n, sample_rate_hz, fraction):
+    """Probes at 22 Chebyshev points across the bank's offsets, and the barycentric map from
+    them to every offset (Berrut & Trefethen 2004): probes @ lagrange is _correlation_bank's
+    bank.T to rounding, since a block spans at most 4*pi/3 rad of probe phase."""
+    offsets_hz = _correlation_bank(n, sample_rate_hz, fraction)[0]
+    extent, x = np.abs(offsets_hz).max(), np.cos(np.arange(22) * np.pi / 21)
+    weights = (-1.0) ** np.arange(22) * np.r_[0.5, np.ones(20), 0.5]
+    d = offsets_hz[:, None] / extent - x
+    with np.errstate(divide="ignore"):  # a grid point on a node takes that node's value
+        q = np.where((d == 0).any(axis=1, keepdims=True), d == 0, weights / d)
+    probes = np.exp(-2j * np.pi * np.outer(_centered_times(n, sample_rate_hz), extent * x))
+    lagrange = (q / q.sum(axis=1, keepdims=True)).T.astype(np.complex128, order="C")
+    probes.flags.writeable = lagrange.flags.writeable = False
+    return probes, lagrange
+
+
 def apply_window(block: np.ndarray, window: str) -> np.ndarray:
     """Elementwise product with the named window (peak 1 at the center)."""
     block = np.asarray(block)
@@ -294,6 +311,7 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
     w = window_values(config.window, n)
     w_mean = _window_mean(config.window, n)
     offsets_hz, bank = _correlation_bank(n, sample_rate_hz, config.fine_grid_fraction)
+    probes, lagrange = _search_factors(n, sample_rate_hz, config.fine_grid_fraction)
     work, exps = _normalize(blocks)  # outputs are scaled back by 2**exps
     out = np.zeros((2, len(work)))  # residual power and floor of each block
     active = np.arange(len(work))
@@ -314,7 +332,7 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
         mixer = np.exp(-2j * np.pi * bin_hz[:, None] * _centered_times(n, sample_rate_hz))[row_of]
         np.multiply(windowed, mixer, out=windowed)
         # one row would take the matrix-vector path, which sums in another order
-        corr = (windowed if active.size > 1 else np.repeat(windowed, 2, axis=0)) @ bank.T
+        corr = (windowed if active.size > 1 else np.repeat(windowed, 2, axis=0)) @ probes @ lagrange
         del windowed
         best = np.argmax(np.abs(corr[: active.size]), axis=1)
         c = corr[np.arange(active.size), best] / n

@@ -207,6 +207,8 @@ def cmd_cancel(args) -> int:
     empty = iq.SampleStream([], args.rate)  # checks --rate and --band before the input is read
     band = empty.check_band(args.band) if args.band else None
     stream = iq.read_iq(args.input, fmt, args.rate)
+    if band:  # the report needs one whole segment: fail before any output is written
+        metrics.segment_count(len(stream), args.rate)
     result = pipeline.run_cancel(
         stream,
         config,

@@ -79,14 +79,19 @@ def _averaged_psd(segments: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     return np.fft.fftshift(total / n_seg / (seg_len * sample_rate_hz), axes=-1)
 
 
-def power_spectrum(stream: SampleStream, resolution_hz: float) -> SpectrumFrame:
-    """Average the periodogram of non-overlapping segments at the given resolution."""
-    seg_len = _segment_length(stream.sample_rate_hz, resolution_hz)
-    n_seg = len(stream) // seg_len
-    if n_seg == 0:
+def segment_count(n_samples: int, rate_hz: float, resolution_hz=DEFAULT_RESOLUTION_HZ):
+    """Count and length of the periodogram segments in n_samples; raises unless one fits."""
+    seg_len = _segment_length(rate_hz, resolution_hz)
+    if n_samples < seg_len:
         raise ValueError(
             f"stream too short: need at least {seg_len} samples for {resolution_hz} Hz resolution"
         )
+    return n_samples // seg_len, seg_len
+
+
+def power_spectrum(stream: SampleStream, resolution_hz: float) -> SpectrumFrame:
+    """Average the periodogram of non-overlapping segments at the given resolution."""
+    n_seg, seg_len = segment_count(len(stream), stream.sample_rate_hz, resolution_hz)
     segments = stream.samples[: n_seg * seg_len].reshape(n_seg, seg_len)
     psd = _averaged_psd(segments, stream.sample_rate_hz)
     freqs = np.fft.fftshift(np.fft.fftfreq(seg_len, d=1.0 / stream.sample_rate_hz))

@@ -31,6 +31,7 @@ from stsa.blockproc import (
     _correlation_bank,
     _detect_rows,
     _normalize,
+    _search_factors,
     _window_mean,
     apply_window,
     detect_peak,
@@ -142,6 +143,7 @@ def reference_estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_i
     w = window_values(config.window, n)
     w_mean = _window_mean(config.window, n)
     offsets_hz, bank = _correlation_bank(n, sample_rate_hz, config.fine_grid_fraction)
+    probes, lagrange = _search_factors(n, sample_rate_hz, config.fine_grid_fraction)
     residual, exps = _normalize(blocks)  # outputs are scaled back by 2**exps
     floors = np.zeros(len(residual))
     active = np.arange(len(residual))
@@ -158,10 +160,11 @@ def reference_estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_i
         # the mixer depends only on the coarse bin: one row per distinct bin
         bin_hz, row_of = np.unique(coarse, return_inverse=True)
         mixer = np.exp(-2j * np.pi * bin_hz[:, None] * _centered_times(n, sample_rate_hz))[row_of]
-        # the kernel's one-row pad and product order (below), so values match bit for bit
+        # the kernel's one-row pad, interpolated search and product order (below), so
+        # values match bit for bit
         mixed = windowed * mixer
-        corr = ((mixed if active.size > 1 else np.repeat(mixed, 2, axis=0)) @ bank.T)[
-            : active.size]
+        corr = (((mixed if active.size > 1 else np.repeat(mixed, 2, axis=0)) @ probes)
+                @ lagrange)[: active.size]
         best = np.argmax(np.abs(corr), axis=1)
         c = corr[np.arange(active.size), best] / n
         freq = coarse + offsets_hz[best]

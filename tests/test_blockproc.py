@@ -6,10 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stsa.blockproc import (
+    WINDOW_NAMES,
     StsaConfig,
     _correlation_bank,
+    _search_factors,
     apply_window,
     detect_peak,
     estimate_amp_phase,
@@ -217,6 +221,49 @@ class TestRefineFrequency:
                 coarse -= RATE
             f_hat = refine_frequency(block, coarse, RATE, self.CFG)
             assert abs(f_hat - f_true) <= half_step + 1e-6
+
+
+# The worst error measured over 33,600 noisy rows, half with a tone (N 8-2048, fractions
+# 0.01-1, three windows) is 1.1e-14 of max|corr|, at fraction 2/3 (a 4/3-bin extent) with
+# the rectangular window: the bound leaves a 4.6x margin.  Nodes fixed at +/-1 bin instead
+# of the bank's extent miss fraction 0.6's 1.2-bin offsets by 2e-11 to 9e-11.
+INTERPOLATION_BOUND = 5e-14
+
+
+@given(n=st.sampled_from([8, 9, 16, 17, 33, 64, 256, 2048]),
+       fraction=st.sampled_from([0.01, 0.55, 0.6, 2 / 3, 1.0]) | st.floats(0.01, 1.0),
+       window=st.sampled_from(WINDOW_NAMES), tone_bins=st.floats(-1.5, 1.5),
+       tone_amp=st.floats(0.0, 100.0), seed=st.integers(0, 2**32 - 1))
+def test_interpolated_search_matches_the_bank(n, fraction, window, tone_bins, tone_amp, seed):
+    """The node correlations mapped to the grid equal the full bank's, relative to max|corr|."""
+    _, bank = _correlation_bank(n, RATE, fraction)
+    probes, lagrange = _search_factors(n, RATE, fraction)
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    rows[0] += tone_amp * np.exp(2j * np.pi * tone_bins * RATE / n * centered_times(n))
+    rows *= window_values(window, n)
+    want = rows @ bank.T
+    err = np.abs((rows @ probes) @ lagrange - want).max(axis=1)
+    assert (err <= INTERPOLATION_BOUND * np.abs(want).max(axis=1)).all()
+
+
+@given(n=st.sampled_from([8, 9]), fraction=st.floats(1e-3, 1.0))
+def test_search_factors_are_finite_and_sum_to_one(n, fraction):
+    probes, lagrange = _search_factors(n, RATE, fraction)
+    assert np.isfinite(probes).all() and np.isfinite(lagrange).all()
+    np.testing.assert_allclose(lagrange.sum(axis=0), 1.0, rtol=0, atol=1e-13)
+
+
+def test_grid_point_next_to_a_node_takes_that_node():
+    # at fraction 0.01 the grid point +0.5 bin lies one ulp from the node cos(pi/3)
+    offsets_hz, _ = _correlation_bank(N, RATE, 0.01)
+    node = np.cos(7 * np.pi / 21)
+    u = offsets_hz / np.abs(offsets_hz).max()
+    m = np.argmin(np.abs(u - node))
+    assert 0 < abs(u[m] - node) <= np.spacing(node)
+    column = _search_factors(N, RATE, 0.01)[1][:, m]
+    assert np.isfinite(column).all()
+    np.testing.assert_allclose(column, np.eye(22)[7], rtol=0, atol=1e-14)
 
 
 class TestAmpPhase:

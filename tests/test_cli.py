@@ -302,15 +302,6 @@ class TestCancel:
                     flag, str(tmp_path / "missing_dir" / "out")]) == 1
         assert capsys.readouterr().err.startswith("i/o error:")
 
-    def test_report_error_is_parameter_error(self, tmp_path, capsys):
-        # the report needs one 16,384-sample segment; the files are still written
-        src = self.gen_tone_file(tmp_path, n=2560)
-        resid, tracks = tmp_path / "r.iq", tmp_path / "t.csv"
-        assert run(["cancel", "--in", str(src), "--rate", RATE, "--band", "72000", "92000",
-                    "--out-residual", str(resid), "--out-tracks", str(tracks)]) == 2
-        assert capsys.readouterr().err.startswith("error: stream too short")
-        assert resid.exists() and tracks.exists()
-
     def test_missing_input_io_error(self, tmp_path, capsys):
         code = run([
             "cancel", "--in", str(tmp_path / "nope.iq"), "--rate", RATE,
@@ -466,6 +457,17 @@ class TestParameterErrors:
             "cancel", "--in", str(src), "--rate", RATE, "--band", *band,
             "--out-residual", str(outputs[0]), "--out-tracks", str(outputs[1]),
             "--report", str(outputs[2])], self.band_message(band), outputs)
+
+    @pytest.mark.parametrize("n", [0, 2560, 8192])
+    def test_cancel_capture_shorter_than_a_report_segment(self, tmp_path, capsys, n):
+        # --band's report needs one 16,384-sample segment at the default 125 Hz resolution
+        src = self.tone_file(tmp_path, n=n)
+        outputs = [tmp_path / "r.iq", tmp_path / "e.iq", tmp_path / "t.csv", tmp_path / "rep.csv"]
+        self.expect_error(capsys, [
+            "cancel", "--in", str(src), "--rate", RATE, "--band", "90000", "110000",
+            "--out-residual", str(outputs[0]), "--out-estimate", str(outputs[1]),
+            "--out-tracks", str(outputs[2]), "--report", str(outputs[3])],
+            "stream too short: need at least 16384 samples", outputs)
 
     @pytest.mark.parametrize("band", [("nan", "1"), ("5000", "-5000"), ("2000000", "3000000")])
     def test_analyze_suppression_band_checked(self, tmp_path, capsys, band):
