@@ -22,6 +22,7 @@ values do not depend on its batch, so the batch size and thread count change non
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -64,6 +65,9 @@ class StsaConfig:
     overlap: str = "none"
 
     def __post_init__(self):
+        for name in ("block_len_n", "max_peel"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.block_len_n < 8:
             raise ValueError("block_len_n must be at least 8")
         if self.window not in WINDOW_NAMES:
@@ -106,11 +110,10 @@ class SinusoidEstimate:
 
 @dataclass(frozen=True)
 class BlockEstimates:
-    """All sinusoids peeled from one block, in extraction order; powers past float64 read inf."""
+    """All sinusoids peeled from one block, in extraction order; a floor past float64 reads inf."""
 
     block_index: int
     estimates: tuple
-    residual_power: float
     noise_floor: float
 
 
@@ -120,7 +123,7 @@ class Estimates:
 
     block_index, peel_rank, amp, freq_hz, phase_rad and t_center_s hold one
     value per estimate, ordered by block and then by peel order.
-    residual_power and noise_floor hold one value per block, block i at i.
+    noise_floor holds one value per block, block i at i.
     len() is the block count; table[i] builds block i's BlockEstimates on
     request, so compare tables as list(a) == list(b).
     """
@@ -131,11 +134,10 @@ class Estimates:
     freq_hz: np.ndarray
     phase_rad: np.ndarray
     t_center_s: np.ndarray
-    residual_power: np.ndarray
     noise_floor: np.ndarray
 
     def __len__(self) -> int:
-        return self.residual_power.size
+        return self.noise_floor.size
 
     def __getitem__(self, i) -> BlockEstimates:
         i = range(len(self))[i]
@@ -143,7 +145,7 @@ class Estimates:
         columns = (self.amp, self.freq_hz, self.phase_rad, self.block_index, self.t_center_s,
                    self.peel_rank)
         estimates = tuple(SinusoidEstimate(*e) for e in zip(*(c[rows].tolist() for c in columns)))
-        return BlockEstimates(i, estimates, self.residual_power[i].item(), self.noise_floor[i].item())
+        return BlockEstimates(i, estimates, self.noise_floor[i].item())
 
 
 class PeakDetection(NamedTuple):
@@ -303,7 +305,7 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
 
     The winning fine-grid correlation gives amplitude, phase and the tone to
     subtract.  Still-detecting rows stay compacted in `work`; a block that stops
-    leaves with its residual power and the floor of its last detection.
+    leaves with the floor of its last detection.
     Returns the batch's table, its blocks numbered from first_index and centered
     at t_centers.
     """
@@ -313,7 +315,7 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
     offsets_hz, bank = _correlation_bank(n, sample_rate_hz, config.fine_grid_fraction)
     probes, lagrange = _search_factors(n, sample_rate_hz, config.fine_grid_fraction)
     work, exps = _normalize(blocks)  # outputs are scaled back by 2**exps
-    out = np.zeros((2, len(work)))  # residual power and floor of each block
+    floors = np.zeros(len(work))
     active = np.arange(len(work))
     rounds = [(active[:0], active[:0], *np.zeros((3, 0)))]  # row, rank, amp, freq, phase
     for rank in range(config.max_peel + 1):
@@ -321,7 +323,7 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
         bins, _, floor, hit = _detect_rows(windowed, config.detect_threshold_db)
         hit &= rank < config.max_peel
         if not hit.all():
-            out[:, active[~hit]] = np.mean(np.abs(work[~hit]) ** 2, axis=1), floor[~hit]
+            floors[active[~hit]] = floor[~hit]
             active, work, windowed, bins = active[hit], work[hit], windowed[hit], bins[hit]
         if not active.size:
             break
@@ -355,9 +357,9 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
     order = np.argsort(row, kind="stable")  # rounds run in rank order
     row = row[order]
     with np.errstate(over="ignore"):  # powers beyond the float64 range read inf
-        power, floor = np.ldexp(out, 2 * exps)
+        floors = np.ldexp(floors, 2 * exps)
     return Estimates(first_index + row, rank[order], amp[order], freq[order], phase[order],
-                     t_centers[row], power, floor)
+                     t_centers[row], floors)
 
 
 def estimate_block(block: np.ndarray, config: StsaConfig, sample_rate_hz: float) -> BlockEstimates:

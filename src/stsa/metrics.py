@@ -29,7 +29,6 @@ class SpectrumFrame:
     freqs_hz: np.ndarray
     power: np.ndarray
     resolution_hz: float
-    averaging_count: int
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,6 @@ class DynamicSpectrum:
     times_s: np.ndarray
     freqs_hz: np.ndarray
     power: np.ndarray
-    t_resolution_s: float
-    f_resolution_hz: float
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,6 @@ class SuppressionReport:
     power_after: float
     suppression_db: float
     out_of_band_delta_db: float
-    snr_in_band_db: float | None = None
 
 
 def _segment_length(sample_rate_hz: float, resolution_hz: float) -> int:
@@ -95,7 +91,7 @@ def power_spectrum(stream: SampleStream, resolution_hz: float) -> SpectrumFrame:
     segments = stream.samples[: n_seg * seg_len].reshape(n_seg, seg_len)
     psd = _averaged_psd(segments, stream.sample_rate_hz)
     freqs = np.fft.fftshift(np.fft.fftfreq(seg_len, d=1.0 / stream.sample_rate_hz))
-    return SpectrumFrame(freqs, psd, stream.sample_rate_hz / seg_len, n_seg)
+    return SpectrumFrame(freqs, psd, stream.sample_rate_hz / seg_len)
 
 
 def dynamic_spectrum(stream: SampleStream, t_res_s: float, f_res_hz: float) -> DynamicSpectrum:
@@ -122,8 +118,7 @@ def dynamic_spectrum(stream: SampleStream, t_res_s: float, f_res_hz: float) -> D
     psd = _averaged_psd(segments, stream.sample_rate_hz)
     freqs = np.fft.fftshift(np.fft.fftfreq(seg_len, d=1.0 / stream.sample_rate_hz))
     times = (np.arange(rows) + 0.5) * cell / stream.sample_rate_hz
-    return DynamicSpectrum(times, freqs, psd, cell / stream.sample_rate_hz,
-                           stream.sample_rate_hz / seg_len)
+    return DynamicSpectrum(times, freqs, psd)
 
 
 def frame_band_power(frame: SpectrumFrame, band_hz: tuple[float, float]) -> float:
@@ -151,17 +146,17 @@ def suppression_report(
     original: SampleStream,
     residual: SampleStream,
     band_hz: tuple[float, float],
-    noise_power_in_band: float | None = None,
     resolution_hz: float = DEFAULT_RESOLUTION_HZ,
 ) -> SuppressionReport:
     """Before/after band powers plus an out-of-band distortion check.
 
     The out-of-band comparison excludes a guard of one analysis bin on each
-    side of the band so edge widening does not contaminate it.  When the true
-    in-band noise power is supplied, the pre-cancellation in-band SNR is
-    reported (the ideal suppression ceiling).
+    side of the band so edge widening does not contaminate it.
     """
     lo, hi = original.check_band(band_hz)
+    if original.sample_rate_hz != residual.sample_rate_hz:
+        raise ValueError(f"original at {original.sample_rate_hz} Hz and residual at "
+                         f"{residual.sample_rate_hz} Hz must share one sample rate")
     if len(original) != len(residual):
         raise ValueError("original and residual must have equal length")
     frame_before = power_spectrum(original, resolution_hz)
@@ -175,35 +170,27 @@ def suppression_report(
     out_before = float(np.sum(frame_before.power[out_mask]) * frame_before.resolution_hz)
     out_after = float(np.sum(frame_after.power[out_mask]) * frame_after.resolution_hz)
     out_delta = _log_ratio_db(out_after, out_before)
-
-    snr = None
-    if noise_power_in_band is not None and noise_power_in_band > 0:
-        signal_only = before - noise_power_in_band
-        snr = _log_ratio_db(max(signal_only, 0.0), noise_power_in_band)
-    return SuppressionReport((lo, hi), before, after, suppression, out_delta, snr)
+    return SuppressionReport((lo, hi), before, after, suppression, out_delta)
 
 
 def format_report(report: SuppressionReport) -> str:
-    lines = [
+    return "\n".join([
         f"band_hz: {report.band_hz[0]:.1f} .. {report.band_hz[1]:.1f}",
         f"power_before: {report.power_before:.6g}",
         f"power_after: {report.power_after:.6g}",
         f"suppression_db: {report.suppression_db:.2f}",
         f"out_of_band_delta_db: {report.out_of_band_delta_db:+.3f}",
-    ]
-    if report.snr_in_band_db is not None:
-        lines.append(f"snr_in_band_db: {report.snr_in_band_db:.2f}")
-    return "\n".join(lines)
+    ])
 
 
 def write_report_csv(report: SuppressionReport, path) -> None:
+    """One header and one row; the header's last column is always left empty."""
     with open(path, "w") as fh:
         fh.write(REPORT_CSV_HEADER + "\n")
-        snr = "" if report.snr_in_band_db is None else f"{report.snr_in_band_db:.6f}"
         fh.write(
             f"{report.band_hz[0]:.6f},{report.band_hz[1]:.6f},"
             f"{report.power_before:.9g},{report.power_after:.9g},"
-            f"{report.suppression_db:.6f},{report.out_of_band_delta_db:.6f},{snr}\n"
+            f"{report.suppression_db:.6f},{report.out_of_band_delta_db:.6f},\n"
         )
 
 

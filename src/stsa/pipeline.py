@@ -6,6 +6,7 @@ Each stage is called through its module attribute (`blockproc.process_stream`,
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from . import blockproc, iq, synthesis
@@ -22,6 +23,8 @@ class CancelResult:
 
 def check_settings(passes: int, jump_limit_bins: float) -> None:
     """Raise ValueError for a pass count or jump limit that run_cancel rejects."""
+    if not isinstance(passes, numbers.Integral):
+        raise ValueError(f"passes must be an integer, got {passes!r}")
     if passes < 1:
         raise ValueError(f"passes must be at least 1, got {passes}")
     synthesis.check_jump_limit(jump_limit_bins)

@@ -15,16 +15,14 @@ def row_columns(estimates) -> tuple:
     )
 
 
-def estimates_table(estimates, residual_power=None, noise_floor=None) -> Estimates:
+def estimates_table(estimates, noise_floor=None) -> Estimates:
     """A table with the estimates as rows, in the order given.
 
-    The block columns default to zeros, one per block up to the last estimate's.
+    The floors default to zeros, one per block up to the last estimate's.
     """
     n_blocks = max((e.block_index for e in estimates), default=-1) + 1
-    zeros = np.zeros(n_blocks)
-    return Estimates(*row_columns(estimates),
-                     zeros if residual_power is None else np.asarray(residual_power, np.float64),
-                     zeros if noise_floor is None else np.asarray(noise_floor, np.float64))
+    return Estimates(*row_columns(estimates), np.zeros(n_blocks) if noise_floor is None
+                     else np.asarray(noise_floor, np.float64))
 
 
 def tracks_table(entry_lists) -> tuple:

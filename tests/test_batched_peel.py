@@ -99,8 +99,7 @@ def oracle_estimate_block(
     floor = float(
         np.median(np.abs(np.fft.fft(final_windowed)) ** 2 / block.size**2)
     )
-    residual_power = float(np.mean(np.abs(residual) ** 2))
-    return BlockEstimates(block_index, tuple(estimates), residual_power, floor)
+    return BlockEstimates(block_index, tuple(estimates), floor)
 
 
 def block_center_time(stream: SampleStream, config: StsaConfig, block_index: int) -> float:
@@ -180,13 +179,11 @@ def reference_estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_i
         rounds.append([v.tolist() for v in (active, amp, freq, phase)])
     if active.size:  # these reached max_peel: floor of the final residual
         floors[active] = reference_detect_rows(residual[active] * w, config.detect_threshold_db)[2]
-    powers = np.mean(np.abs(residual) ** 2, axis=1)
     per_block = [[] for _ in range(len(residual))]
     for rank, columns in enumerate(rounds):
         for row, a, f, p in zip(*columns):
             per_block[row].append(SinusoidEstimate(a, f, p, first_index + row, t_centers[row], rank))
-    return estimates_table([e for ests in per_block for e in ests],
-                           *np.ldexp([powers, floors], 2 * exps))
+    return estimates_table([e for ests in per_block for e in ests], np.ldexp(floors, 2 * exps))
 
 
 def assert_equals_reference(stream, config):
@@ -224,7 +221,6 @@ def assert_matches_oracle(stream, config):
             assert abs(wrap_phase(a.phase_rad - b.phase_rad)) <= 1e-9
         if not flipped:
             assert g.noise_floor == pytest.approx(w.noise_floor, rel=1e-9, abs=0)
-            assert g.residual_power == pytest.approx(w.residual_power, rel=1e-9, abs=0)
     assert flips <= 1e-3 * total, f"{flips} of {total} frequencies moved one fine step"
     return total, flips
 
@@ -289,7 +285,7 @@ def test_all_zero_blocks():
     stream = SampleStream(tone, RATE)
     blocks = list(process_stream(stream, StsaConfig()))
     for b in blocks[5:12] + blocks[-1:]:
-        assert (b.estimates, b.noise_floor, b.residual_power) == ((), 0.0, 0.0)
+        assert (b.estimates, b.noise_floor) == ((), 0.0)
     assert_matches_oracle(stream, StsaConfig())
     assert_equals_reference(stream, StsaConfig())
 
@@ -381,7 +377,7 @@ def test_estimate_block_is_its_row_of_process_stream(case):
         alone = blockproc.estimate_block(stream.samples[i * n : (i + 1) * n], config, RATE)
         assert [(e.amp, e.freq_hz, e.phase_rad, e.peel_rank) for e in alone.estimates] == [
             (e.amp, e.freq_hz, e.phase_rad, e.peel_rank) for e in row.estimates], i
-        assert (alone.residual_power, alone.noise_floor) == (row.residual_power, row.noise_floor)
+        assert alone.noise_floor == row.noise_floor
 
 
 def test_worker_count_changes_no_value(monkeypatch):

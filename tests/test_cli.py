@@ -31,6 +31,14 @@ def test_cancel_requires_at_least_one_pass(tmp_path, capsys):
     assert not resid.exists()
 
 
+def test_pass_count_must_be_an_integer():
+    stream = SampleStream(np.ones(1024, complex), 2048000.0)
+    for passes in (1.5, 2.0):
+        with pytest.raises(ValueError, match=f"passes must be an integer, got {passes}"):
+            run_cancel(stream, StsaConfig(), passes=passes)
+    assert len(run_cancel(stream, StsaConfig(), passes=np.int64(2)).blocks_per_pass) == 2
+
+
 @pytest.mark.parametrize("fmt", list(IqFormat))
 @pytest.mark.parametrize("passes", [1, 2])
 def test_estimate_file_is_the_encoded_difference(tmp_path, fmt, passes):

@@ -20,11 +20,11 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def test_block_views():
     rows = [SinusoidEstimate(1.0, 5.0, 0.5, 0, 1e-4, 0), SinusoidEstimate(0.5, -7.0, -0.0, 0, 1e-4, 1),
             SinusoidEstimate(2.0, 9.0, 3.0, 2, 5e-4, 0)]
-    table = estimates_table(rows, [1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
+    table = estimates_table(rows, [0.1, 0.2, 0.3])
     assert len(table) == 3
-    assert table[0] == BlockEstimates(0, tuple(rows[:2]), 1.0, 0.1)
-    assert table[1] == BlockEstimates(1, (), 2.0, 0.2)
-    assert table[2] == table[-1] == BlockEstimates(2, (rows[2],), 3.0, 0.3)
+    assert table[0] == BlockEstimates(0, tuple(rows[:2]), 0.1)
+    assert table[1] == BlockEstimates(1, (), 0.2)
+    assert table[2] == table[-1] == BlockEstimates(2, (rows[2],), 0.3)
     assert table[-3] == table[0]
     assert list(table) == [table[0], table[1], table[2]]
     for i in (3, -4):
@@ -33,8 +33,7 @@ def test_block_views():
     # plain Python numbers, as a per-estimate object held before the table
     block = table[0]
     assert {type(v) for e in block.estimates for v in vars(e).values()} == {float, int}
-    assert {type(block.block_index), type(block.residual_power), type(block.noise_floor)} == {
-        int, float}
+    assert {type(block.block_index), type(block.noise_floor)} == {int, float}
 
 
 def test_pipeline_builds_no_per_estimate_objects(monkeypatch, tmp_path):
