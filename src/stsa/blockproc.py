@@ -92,9 +92,6 @@ class StsaConfig:
     def bin_width_hz(self, sample_rate_hz: float) -> float:
         return sample_rate_hz / self.block_len_n
 
-    def fine_step_hz(self, sample_rate_hz: float) -> float:
-        return self.fine_grid_fraction * self.bin_width_hz(sample_rate_hz)
-
 
 @dataclass(frozen=True)
 class SinusoidEstimate:
@@ -216,12 +213,6 @@ def _search_factors(n, sample_rate_hz, fraction):
     lagrange = (q / q.sum(axis=1, keepdims=True)).T.astype(np.complex128, order="C")
     probes.flags.writeable = lagrange.flags.writeable = False
     return probes, lagrange
-
-
-def apply_window(block: np.ndarray, window: str) -> np.ndarray:
-    """Elementwise product with the named window (peak 1 at the center)."""
-    block = np.asarray(block)
-    return block * window_values(window, block.size)
 
 
 def _normalize(rows: np.ndarray):

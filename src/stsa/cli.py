@@ -148,11 +148,15 @@ def _sample_count(args) -> int:
     return int(round(args.dur * args.rate))
 
 
-def _check_distinct_outputs(*paths) -> None:
-    """Reject two output paths that resolve to one file, unless it exists and is not a
-    regular file: /dev/null may repeat, as write_iq never removes such a file."""
+def _check_distinct_outputs(*paths, inputs=()) -> None:
+    """Reject two output paths that resolve to one file, or an output that is an input's file
+    (os.path.samefile: a symlink or hard link counts), unless the file exists and is not a
+    regular one: /dev/null may repeat, as write_iq never removes such a file."""
     real = [os.path.realpath(p) for p in paths if p is not None]
+    read = [p for p in inputs if p is not None and os.path.exists(p)]
     for path in real:
+        if os.path.isfile(path) and any(os.path.samefile(path, p) for p in read):
+            raise ValueError(f"an output flag names an input file, {path}")
         if real.count(path) > 1 and (os.path.isfile(path) or not os.path.exists(path)):
             raise ValueError(f"two output flags name one file, {path}")
 
@@ -202,7 +206,8 @@ def cmd_cancel(args) -> int:
     fmt = IqFormat(args.format)
     if args.report and not args.band:
         raise ValueError("--report needs --band")
-    _check_distinct_outputs(args.out_residual, args.out_estimate, args.out_tracks, args.report)
+    _check_distinct_outputs(args.out_residual, args.out_estimate, args.out_tracks, args.report,
+                            inputs=[args.input])
     pipeline.check_settings(args.passes, args.jump_limit)
     empty = iq.SampleStream([], args.rate)  # checks --rate and --band before the input is read
     band = empty.check_band(args.band) if args.band else None
@@ -239,6 +244,7 @@ def cmd_cancel(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _check_distinct_outputs(args.out, inputs=[args.input, args.before, args.after])
     fmt = IqFormat(args.format)
     empty = iq.SampleStream([], args.rate)  # checks --rate and --band before any input is read
     if args.suppression:

@@ -53,22 +53,28 @@ def assemble_tracks(
     check_jump_limit(jump_limit_bins)
     if not np.isfinite(estimates.freq_hz).all():
         raise ValueError("estimate frequencies must be finite")
-    bin_width = config.bin_width_hz(sample_rate_hz)
+    if np.any(estimates.block_index[1:] < estimates.block_index[:-1]):
+        raise ValueError("blocks must be supplied in increasing index order")
+    limit = jump_limit_bins * config.bin_width_hz(sample_rate_hz)  # per elapsed block
     members, ends = [], []  # per track: its rows, and the frequency and block it ends at
     by_freq = []  # (end frequency, track) of every track, sorted
-    current, taken = None, set()
     for row, (block, freq) in enumerate(zip(estimates.block_index.tolist(),
                                             estimates.freq_hz.tolist())):
-        if block != current:
-            if current is not None and block < current:
-                raise ValueError("blocks must be supplied in increasing index order")
-            current, taken = block, set()
+        # rounding is monotonic, so walking outward from freq meets abs(freq - end) nearest first
+        hi = bisect_left(by_freq, (freq,))
+        lo = hi - 1
         best = best_dist = None
-        for dist, ti in _nearest_first(by_freq, freq):
+        while lo >= 0 or hi < len(by_freq):
+            if hi == len(by_freq) or lo >= 0 and freq - by_freq[lo][0] <= by_freq[hi][0] - freq:
+                (end, ti), lo = by_freq[lo], lo - 1
+            else:
+                (end, ti), hi = by_freq[hi], hi + 1
+            dist = abs(freq - end)
             if best is not None and dist != best_dist:
                 break
-            if (ti not in taken and dist < jump_limit_bins * bin_width * (block - ends[ti][1])
-                    and (best is None or ti < best)):
+            # a track already extended in this block has 0 blocks elapsed, so its limit is
+            # 0 (or NaN) and it takes no second estimate of the block
+            if dist < limit * (block - ends[ti][1]) and (best is None or ti < best):
                 best, best_dist = ti, dist
         if best is not None:
             del by_freq[bisect_left(by_freq, (ends[best][0], best))]
@@ -79,25 +85,7 @@ def assemble_tracks(
         members[best].append(row)
         ends[best] = freq, block
         insort(by_freq, (freq, best))
-        taken.add(best)
     return [np.array(rows, dtype=np.intp) for rows in members]
-
-
-def _nearest_first(by_freq, freq):
-    """(distance, track) for the (frequency, track) pairs of sorted by_freq, nearest first.
-
-    Rounding is monotonic, so walking outward from freq on each side visits
-    abs(freq - f) in non-decreasing order.
-    """
-    hi = bisect_left(by_freq, (freq,))
-    lo = hi - 1
-    while lo >= 0 or hi < len(by_freq):
-        if hi == len(by_freq) or lo >= 0 and freq - by_freq[lo][0] <= by_freq[hi][0] - freq:
-            yield freq - by_freq[lo][0], by_freq[lo][1]
-            lo -= 1
-        else:
-            yield by_freq[hi][0] - freq, by_freq[hi][1]
-            hi += 1
 
 
 def _rows(rows: np.ndarray):

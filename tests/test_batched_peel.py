@@ -33,7 +33,6 @@ from stsa.blockproc import (
     _normalize,
     _search_factors,
     _window_mean,
-    apply_window,
     detect_peak,
     estimate_amp_phase,
     process_stream,
@@ -79,7 +78,7 @@ def oracle_estimate_block(
     residual = block.copy()
     estimates = []
     for rank in range(config.max_peel):
-        windowed = apply_window(residual, config.window)
+        windowed = residual * window_values(config.window, residual.size)
         detection = detect_peak(windowed, config.detect_threshold_db)
         if detection is None:
             break
@@ -95,7 +94,7 @@ def oracle_estimate_block(
         est = SinusoidEstimate(amp, freq, phase, block_index, t_center_s, rank)
         residual = subtract_sinusoid(residual, est, sample_rate_hz)
         estimates.append(est)
-    final_windowed = apply_window(residual, config.window)
+    final_windowed = residual * window_values(config.window, residual.size)
     floor = float(
         np.median(np.abs(np.fft.fft(final_windowed)) ** 2 / block.size**2)
     )
@@ -203,7 +202,7 @@ def assert_matches_oracle(stream, config):
     want = oracle_process_stream(stream, config)
     assert [b.block_index for b in got] == [b.block_index for b in want]
     assert [len(b.estimates) for b in got] == [len(b.estimates) for b in want]
-    step = config.fine_step_hz(stream.sample_rate_hz)
+    step = config.fine_grid_fraction * config.bin_width_hz(stream.sample_rate_hz)
     total = flips = 0
     for g, w in zip(got, want):
         total += len(w.estimates)

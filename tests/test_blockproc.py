@@ -14,7 +14,7 @@ from stsa.blockproc import (
     StsaConfig,
     _correlation_bank,
     _search_factors,
-    apply_window,
+    _window_mean,
     detect_peak,
     estimate_amp_phase,
     estimate_block,
@@ -109,22 +109,22 @@ class TestConfig:
         # N=256 at 2.048 MHz: 8 kHz bins searched in 80 Hz steps.
         cfg = StsaConfig()
         assert cfg.bin_width_hz(RATE) == 8000.0
-        assert cfg.fine_step_hz(RATE) == 80.0
+        assert cfg.fine_grid_fraction * cfg.bin_width_hz(RATE) == 80.0
 
 
 class TestWindows:
     def test_rectangular_is_identity(self):
         block = np.arange(16) + 1j
-        np.testing.assert_array_equal(apply_window(block, "rectangular"), block)
+        np.testing.assert_array_equal(block * window_values("rectangular", block.size), block)
 
     def test_triangular_n5(self):
         np.testing.assert_allclose(window_values("triangular", 5), [0, 0.5, 1, 0.5, 0])
 
     def test_windowed_constant_sums_to_n_times_mean(self):
+        # the mean is the coherent gain the estimator divides out
         for name in ("triangular", "hamming", "rectangular"):
-            w = window_values(name, 64)
-            out = apply_window(np.ones(64, complex), name)
-            np.testing.assert_allclose(out.sum().real, 64 * w.mean())
+            out = np.ones(64, complex) * window_values(name, 64)
+            np.testing.assert_allclose(out.sum().real, 64 * _window_mean(name, 64))
 
     def test_triangular_mean_near_half(self):
         # The window-gain correction is the factor of 2 in the large-N limit.
@@ -142,7 +142,7 @@ class TestWindows:
 class TestDetectPeak:
     def test_tone_at_bin_ten(self):
         block = make_tone_block(1.0, 10 * RATE / N, 0.3)
-        det = detect_peak(apply_window(block, "triangular"), 10.0)
+        det = detect_peak(block * window_values("triangular", N), 10.0)
         assert det is not None
         assert det.coarse_bin == 10
 
@@ -157,7 +157,7 @@ class TestDetectPeak:
 
     def test_negative_frequency_bin(self):
         block = make_tone_block(1.0, -3 * RATE / N, 0.0)
-        det = detect_peak(apply_window(block, "triangular"), 10.0)
+        det = detect_peak(block * window_values("triangular", N), 10.0)
         assert det.coarse_bin == N - 3
 
     @pytest.mark.parametrize("threshold_db", [13.0])
@@ -205,8 +205,8 @@ class TestRefineFrequency:
 
     def test_on_grid_tone_exact(self):
         coarse = 10 * RATE / N
-        f_true = coarse + 37 * self.CFG.fine_step_hz(RATE)
-        block = apply_window(make_tone_block(1.0, f_true, 0.9), "triangular")
+        f_true = coarse + 37 * (self.CFG.fine_grid_fraction * self.CFG.bin_width_hz(RATE))
+        block = make_tone_block(1.0, f_true, 0.9) * window_values("triangular", N)
         assert refine_frequency(block, coarse, RATE, self.CFG) == f_true
 
     def test_zero_block_ties_break_to_coarse(self):
@@ -216,10 +216,10 @@ class TestRefineFrequency:
     @pytest.mark.parametrize("window", ["triangular", "hamming", "rectangular"])
     def test_off_grid_error_below_half_step(self, window):
         rng = np.random.default_rng(7)
-        half_step = self.CFG.fine_step_hz(RATE) / 2
+        half_step = self.CFG.fine_grid_fraction * self.CFG.bin_width_hz(RATE) / 2
         for _ in range(25):
             f_true = rng.uniform(-0.4, 0.4) * RATE
-            block = apply_window(make_tone_block(1.0, f_true, rng.uniform(-3, 3)), window)
+            block = make_tone_block(1.0, f_true, rng.uniform(-3, 3)) * window_values(window, N)
             det = detect_peak(block, 10.0)
             coarse = det.coarse_bin * RATE / N
             if coarse >= RATE / 2:
@@ -275,14 +275,14 @@ class TestAmpPhase:
     @pytest.mark.parametrize("window", ["triangular", "hamming", "rectangular"])
     def test_unbiased_on_tone(self, window):
         f = 12 * RATE / N
-        block = apply_window(make_tone_block(1.0, f, -1.1), window)
+        block = make_tone_block(1.0, f, -1.1) * window_values(window, N)
         amp, phase = estimate_amp_phase(block, f, window, RATE)
         assert abs(amp - 1.0) < 1e-6
         assert abs(phase - (-1.1)) < 1e-6
 
     def test_amp_scales_exactly(self):
         f = 12 * RATE / N
-        block = apply_window(make_tone_block(1.0, f, 0.4), "triangular")
+        block = make_tone_block(1.0, f, 0.4) * window_values("triangular", N)
         amp1, _ = estimate_amp_phase(block, f, "triangular", RATE)
         amp2, _ = estimate_amp_phase(2.0 * block, f, "triangular", RATE)
         assert amp2 == 2.0 * amp1
@@ -338,7 +338,7 @@ class TestSubtract:
         # Worst-case half-grid-step frequency error still leaves the
         # single-block residual at least 40 dB down.
         cfg = StsaConfig()
-        f_true = 10 * RATE / N + cfg.fine_step_hz(RATE) * 0.5 * 0.999
+        f_true = 10 * RATE / N + cfg.fine_grid_fraction * cfg.bin_width_hz(RATE) * 0.5 * 0.999
         block = make_tone_block(1.0, f_true, 0.3)
         be = estimate_block(block, cfg, RATE)
         first_resid = subtract_sinusoid(block, be.estimates[0], RATE)
@@ -433,7 +433,7 @@ class TestEstimateBlock:
         assert detect_peak(np.full(N, 3.0, complex), 10.0).peak_power == 9.0
         for b, block in zip(unit, noise.reshape(8, N)):
             assert b.estimates == ()
-            power = np.abs(np.fft.fft(apply_window(block, "triangular"))) ** 2 / N**2
+            power = np.abs(np.fft.fft(block * window_values("triangular", N))) ** 2 / N**2
             assert b.noise_floor == np.median(power)
 
 
@@ -442,10 +442,10 @@ class TestInvariants:
         """Windowed power after each peel, replayed from the recorded estimates."""
         be = estimate_block(block, cfg, RATE)
         residual = np.array(block, complex)
-        powers = [np.sum(np.abs(apply_window(residual, cfg.window)) ** 2)]
+        powers = [np.sum(np.abs(residual * window_values(cfg.window, N)) ** 2)]
         for est in be.estimates:
             residual = subtract_sinusoid(residual, est, RATE)
-            powers.append(np.sum(np.abs(apply_window(residual, cfg.window)) ** 2))
+            powers.append(np.sum(np.abs(residual * window_values(cfg.window, N)) ** 2))
         return powers
 
     def test_peel_monotonicity(self):
@@ -488,7 +488,7 @@ class TestInvariants:
 
     def test_frequency_shift_covariance(self):
         cfg = StsaConfig()
-        step = cfg.fine_step_hz(RATE)
+        step = cfg.fine_grid_fraction * cfg.bin_width_hz(RATE)
         rng = np.random.default_rng(13)
         block = make_tone_block(1.0, 82000.0 + 0.3 * step, 0.7)
         block = block + 0.01 * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
@@ -502,7 +502,7 @@ class TestInvariants:
     @pytest.mark.parametrize("window", ["triangular", "hamming", "rectangular"])
     def test_stationary_unbiasedness(self, window):
         cfg = StsaConfig(window=window)
-        f = 30 * RATE / N + 24 * cfg.fine_step_hz(RATE)
+        f = 30 * RATE / N + 24 * (cfg.fine_grid_fraction * cfg.bin_width_hz(RATE))
         block = make_tone_block(0.7, f, 1.3)
         est = estimate_block(block, cfg, RATE).estimates[0]
         assert est.freq_hz == f

@@ -575,12 +575,45 @@ class TestParameterErrors:
                           "two output flags name one file, ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["cancel", "--in", "tone.iq", "--out-residual", "tone.iq"],
+        ["cancel", "--in", "tone.iq", "--out-residual", "hard.iq"],
+        ["cancel", "--in", "tone.iq", "--out-residual", "r.iq", "--out-estimate", "link.iq"],
+        ["cancel", "--in", "tone.iq", "--out-residual", "r.iq", "--out-tracks", "{tmp}/tone.iq"],
+        ["cancel", "--in", "tone.iq", "--out-residual", "r.iq", "--band", "90000", "110000",
+         "--report", "./tone.iq"],
+        ["analyze", "--spectrum", "--in", "tone.iq", "--out", "tone.iq"],
+        ["analyze", "--waterfall", "--in", "tone.iq", "--out", "link.iq"],
+        ["analyze", "--suppression", "--before", "tone.iq", "--after", "r.iq",
+         "--band", "90000", "110000", "--out", "tone.iq"],
+        ["analyze", "--suppression", "--before", "r.iq", "--after", "tone.iq",
+         "--band", "90000", "110000", "--out", "tone.iq"],
+    ], ids=["cancel-residual", "cancel-residual-hard-link", "cancel-estimate-symlink",
+            "cancel-tracks", "cancel-report", "spectrum", "waterfall-symlink",
+            "suppression-before", "suppression-after"])
+    def test_an_output_that_names_an_input_is_rejected_before_it_is_read(
+            self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        src = self.tone_file(tmp_path)
+        (tmp_path / "link.iq").symlink_to("tone.iq")
+        (tmp_path / "hard.iq").hardlink_to("tone.iq")
+        data = src.read_bytes()
+        if "--before" in argv:
+            (tmp_path / "r.iq").write_bytes(data)
+        self.expect_error(capsys, [a.format(tmp=tmp_path) for a in argv] + ["--rate", RATE],
+                          "an output flag names an input file, ")
+        assert src.read_bytes() == data
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["tone.iq", "link.iq", "hard.iq"] + ["r.iq"] * ("--before" in argv))
+
     def test_a_device_may_take_several_outputs(self, tmp_path, capsys):
         src = self.tone_file(tmp_path, n=2560)
         assert run(["cancel", "--in", str(src), "--rate", RATE, "--out-residual", "/dev/null",
                     "--out-estimate", "/dev/null", "--out-tracks", "/dev/null"]) == 0
         assert run(["generate", "--tone", "--n", "64", "--rate", "1000", "--out", "/dev/null",
                     "--truth", "/dev/null"]) == 0
+        assert run(["cancel", "--in", "/dev/null", "--rate", RATE, "--out-residual",
+                    "/dev/null"]) == 0
         assert list(tmp_path.iterdir()) == [src]
 
     @pytest.mark.parametrize("argv,message", [

@@ -109,7 +109,8 @@ def test_conjugating_the_capture_mirrors_every_estimate(capture, half_overlap, t
     blocks, first = np.unique(got.block_index[moved], return_index=True)
     # as against the per-block oracle, a near-tie on the fine grid may move one step (the
     # bank's tie order 0, -1, +1, ... is not symmetric); later peels see another residual
-    assert np.all(error[moved[first]] <= config.fine_step_hz(RATE) * (1 + 1e-9))
+    step = config.fine_grid_fraction * config.bin_width_hz(RATE)
+    assert np.all(error[moved[first]] <= step * (1 + 1e-9))
     assert blocks.size <= 1e-3 * error.size
     kept = ~np.isin(got.block_index, blocks)
     assert np.all(np.abs(got.amp - want.amp)[kept] <= AMP_BOUND * want.amp[kept])
@@ -152,7 +153,8 @@ def test_a_whole_bin_shift_of_the_capture_shifts_every_estimate(capture, m, half
     moved = np.flatnonzero(error > SHIFT_FREQ_BOUND_HZ)
     blocks, first = np.unique(got.block_index[moved], return_index=True)
     # a near-tie on the fine grid may move one step; later peels see another residual
-    assert np.all(error[moved[first]] <= config.fine_step_hz(RATE) * (1 + 1e-9))
+    step = config.fine_grid_fraction * config.bin_width_hz(RATE)
+    assert np.all(error[moved[first]] <= step * (1 + 1e-9))
     assert blocks.size <= 1e-3 * error.size
     kept = ~np.isin(got.block_index, blocks)
     assert np.all(np.abs(got.amp - want.amp)[kept] <= SHIFT_AMP_BOUND * want.amp[kept])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from stsa.blockproc import SinusoidEstimate, StsaConfig, process_stream
 from stsa.synthesis import assemble_tracks
-from scenarios import FM_CONFIG, RATE, fm_stream
+from scenarios import FM_CONFIG, RATE, STATIONS_CONFIG, fm_stream, three_station_stream
 from table_helpers import estimates_table
 
 
@@ -59,6 +59,20 @@ def test_fm_scenario_matches_all_pairs(fm_estimates, jump_limit_bins, n_tracks):
     got = assemble_tracks(fm_estimates, FM_CONFIG, RATE, jump_limit_bins)
     assert len(got) == n_tracks
     assert_same_tracks(got, all_pairs_assemble(fm_estimates, FM_CONFIG, RATE, jump_limit_bins))
+
+
+@pytest.fixture(scope="module")
+def station_estimates():
+    return process_stream(three_station_stream(), STATIONS_CONFIG)
+
+
+@pytest.mark.parametrize("jump_limit_bins,n_tracks", [(0.5, 6), (0.1, 22)])
+def test_three_station_mixture_matches_all_pairs(station_estimates, jump_limit_bins, n_tracks):
+    # three to five peels per block, so the walk passes tracks already extended in the block
+    got = assemble_tracks(station_estimates, STATIONS_CONFIG, RATE, jump_limit_bins)
+    assert len(got) == n_tracks
+    assert_same_tracks(got, all_pairs_assemble(station_estimates, STATIONS_CONFIG, RATE,
+                                               jump_limit_bins))
 
 
 @st.composite
@@ -110,4 +124,10 @@ def test_tie_goes_to_the_track_opened_first():
 def test_non_finite_frequency_rejected(bad):
     rows = [SinusoidEstimate(1.0, 0.0, 0.0, 0, 0.0, 0), SinusoidEstimate(1.0, bad, 0.0, 1, 0.0, 0)]
     with pytest.raises(ValueError, match="frequencies must be finite"):
+        assemble_tracks(estimates_table(rows), StsaConfig(), RATE)
+
+
+def test_blocks_out_of_order_rejected():
+    rows = [SinusoidEstimate(1.0, 0.0, 0.0, b, 0.0, 0) for b in (0, 2, 1)]
+    with pytest.raises(ValueError, match="blocks must be supplied in increasing index order"):
         assemble_tracks(estimates_table(rows), StsaConfig(), RATE)
