@@ -47,12 +47,15 @@ def wrap_phase(phi):
 
 @dataclass(frozen=True)
 class StsaConfig:
-    """Estimator configuration.
+    """The settings of one cancel run: the estimator's, the tracker's and the pipeline's.
 
     fine_grid_fraction is the frequency search step as a fraction of one FFT
     bin; the search covers the coarse peak's main lobe, the class constant
     fine_search_span_bins = 1 bin either side.  max_peel bounds how many
     sinusoids are extracted per block (the detection threshold is the primary stop).
+    jump_limit_bins bounds a track's frequency step, in bins per elapsed block;
+    passes counts the estimate-cancel iterations, and strongest_only cancels
+    only each pass's highest-energy track.
     """
 
     fine_search_span_bins = 1.0
@@ -63,9 +66,12 @@ class StsaConfig:
     fine_grid_fraction: float = 0.01
     max_peel: int = 8
     overlap: str = "none"
+    jump_limit_bins: float = 0.5
+    passes: int = 1
+    strongest_only: bool = False
 
     def __post_init__(self):
-        for name in ("block_len_n", "max_peel"):
+        for name in ("block_len_n", "max_peel", "passes"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.block_len_n < 8:
@@ -84,6 +90,10 @@ class StsaConfig:
             raise ValueError(f"overlap must be one of {OVERLAP_MODES}")
         if self.overlap == "half" and self.block_len_n % 2:
             raise ValueError("half overlap requires an even block length")
+        if self.passes < 1:
+            raise ValueError(f"passes must be at least 1, got {self.passes}")
+        if not self.jump_limit_bins > 0:
+            raise ValueError(f"jump_limit_bins must be positive, got {self.jump_limit_bins!r}")
 
     @property
     def hop(self) -> int:

@@ -90,11 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum sinusoids extracted per block")
     c.add_argument("--overlap", choices=OVERLAP_MODES, default=defaults.overlap,
                    help="block overlap mode")
-    c.add_argument("--passes", type=int, default=1,
+    c.add_argument("--passes", type=int, default=defaults.passes,
                    help="number of estimate-cancel iterations")
-    c.add_argument("--strongest-only", action="store_true",
+    c.add_argument("--strongest-only", action="store_true", default=defaults.strongest_only,
                    help="cancel only the highest-energy track")
-    c.add_argument("--jump-limit", type=float, default=synthesis.DEFAULT_JUMP_LIMIT_BINS,
+    c.add_argument("--jump-limit", dest="jump_limit_bins", type=float,
+                   default=defaults.jump_limit_bins,
                    help="track association limit in bins per block step")
     c.add_argument("--band", type=float, nargs=2, metavar=("LO", "HI"),
                    help="signal band for the suppression report")
@@ -149,15 +150,20 @@ def _sample_count(args) -> int:
 
 
 def _check_distinct_outputs(*paths, inputs=()) -> None:
-    """Reject two output paths that resolve to one file, or an output that is an input's file
-    (os.path.samefile: a symlink or hard link counts), unless the file exists and is not a
-    regular one: /dev/null may repeat, as write_iq never removes such a file."""
+    """Reject two outputs that are one file, or an output that is an input's file
+    (os.path.samefile: a symlink or hard link counts; an output not yet written is compared
+    by os.path.realpath), unless the file exists and is not a regular one: /dev/null may
+    repeat, as write_iq never removes such a file."""
     real = [os.path.realpath(p) for p in paths if p is not None]
     read = [p for p in inputs if p is not None and os.path.exists(p)]
-    for path in real:
-        if os.path.isfile(path) and any(os.path.samefile(path, p) for p in read):
-            raise ValueError(f"an output flag names an input file, {path}")
-        if real.count(path) > 1 and (os.path.isfile(path) or not os.path.exists(path)):
+    for i, path in enumerate(real):
+        if os.path.isfile(path):
+            if any(os.path.samefile(path, p) for p in read):
+                raise ValueError(f"an output flag names an input file, {path}")
+            same = any(os.path.isfile(q) and os.path.samefile(path, q) for q in real[:i])
+        else:
+            same = not os.path.exists(path) and path in real[:i]
+        if same:
             raise ValueError(f"two output flags name one file, {path}")
 
 
@@ -208,20 +214,12 @@ def cmd_cancel(args) -> int:
         raise ValueError("--report needs --band")
     _check_distinct_outputs(args.out_residual, args.out_estimate, args.out_tracks, args.report,
                             inputs=[args.input])
-    pipeline.check_settings(args.passes, args.jump_limit)
     empty = iq.SampleStream([], args.rate)  # checks --rate and --band before the input is read
     band = empty.check_band(args.band) if args.band else None
     stream = iq.read_iq(args.input, fmt, args.rate)
     if band:  # the report needs one whole segment: fail before any output is written
         metrics.segment_count(len(stream), args.rate)
-    result = pipeline.run_cancel(
-        stream,
-        config,
-        passes=args.passes,
-        strongest_only=args.strongest_only,
-        jump_limit_bins=args.jump_limit,
-        inter_pass_format=fmt,
-    )
+    result = pipeline.run_cancel(stream, config, inter_pass_format=fmt)
     # The jobs only read the input and the residual, so they run concurrently, the report
     # (the longest) first.  Results are read in list order: the first failing job's error wins.
     jobs = [lambda: metrics.suppression_report(stream, result.residual, band)] if band else []
@@ -239,7 +237,7 @@ def cmd_cancel(args) -> int:
             metrics.write_report_csv(report, args.report)
     n_tracks = sum(len(t) for t in result.tracks_per_pass)
     print(f"wrote residual to {args.out_residual} ({n_tracks} tracks over "
-          f"{args.passes} pass(es))")
+          f"{config.passes} pass(es))")
     return 0
 
 

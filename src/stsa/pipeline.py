@@ -6,7 +6,6 @@ Each stage is called through its module attribute (`blockproc.process_stream`,
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 from . import blockproc, iq, synthesis
@@ -21,24 +20,10 @@ class CancelResult:
     blocks_per_pass: list = field(default_factory=list)
 
 
-def check_settings(passes: int, jump_limit_bins: float) -> None:
-    """Raise ValueError for a pass count or jump limit that run_cancel rejects."""
-    if not isinstance(passes, numbers.Integral):
-        raise ValueError(f"passes must be an integer, got {passes!r}")
-    if passes < 1:
-        raise ValueError(f"passes must be at least 1, got {passes}")
-    synthesis.check_jump_limit(jump_limit_bins)
-
-
 def run_cancel(
-    stream: SampleStream,
-    config: StsaConfig,
-    passes: int = 1,
-    strongest_only: bool = False,
-    jump_limit_bins: float = synthesis.DEFAULT_JUMP_LIMIT_BINS,
-    inter_pass_format: IqFormat | None = None,
+    stream: SampleStream, config: StsaConfig, inter_pass_format: IqFormat | None = None
 ) -> CancelResult:
-    """Estimate-and-subtract the stream, optionally iterating on the residual.
+    """Estimate-and-subtract the stream config.passes times, each pass on the last residual.
 
     Each pass keeps its estimate table and its tracks, the row arrays of that
     table that it rendered; synthesis.write_tracks_csv numbers them.
@@ -46,17 +31,16 @@ def run_cancel(
     codec between passes, so an n-pass run is byte-identical to n chained
     single-pass runs over files of that format.
     """
-    check_settings(passes, jump_limit_bins)
     work = stream
     result = CancelResult(stream)
-    for p in range(passes):
+    for p in range(config.passes):
         blocks = blockproc.process_stream(work, config)
-        tracks = synthesis.assemble_tracks(blocks, config, work.sample_rate_hz, jump_limit_bins)
-        if strongest_only and tracks:
+        tracks = synthesis.assemble_tracks(blocks, config, work.sample_rate_hz)
+        if config.strongest_only and tracks:
             tracks = [max(tracks, key=lambda rows: sum(a**2 for a in blocks.amp[rows].tolist()))]
         meta = (len(work), work.sample_rate_hz)
         residual = synthesis.cancel(work, synthesis.synthesize(tracks, meta, config, blocks))
-        if inter_pass_format is not None and p < passes - 1:
+        if inter_pass_format is not None and p < config.passes - 1:
             residual = iq.decode_iq(
                 iq.encode_iq(residual, inter_pass_format),
                 inter_pass_format,

@@ -23,21 +23,11 @@ from . import blockproc
 from .blockproc import Estimates, StsaConfig
 from .iq import SampleStream
 
-DEFAULT_JUMP_LIMIT_BINS = 0.5
 TRACKS_CSV_HEADER = "signal_id,block_index,t_center_s,peel_rank,amp,freq_hz,phase_rad"
 
 
-def check_jump_limit(jump_limit_bins: float) -> None:
-    """Raise ValueError unless jump_limit_bins is positive (NaN is not)."""
-    if not jump_limit_bins > 0:
-        raise ValueError(f"jump_limit_bins must be positive, got {jump_limit_bins!r}")
-
-
 def assemble_tracks(
-    estimates: Estimates,
-    config: StsaConfig,
-    sample_rate_hz: float,
-    jump_limit_bins: float = DEFAULT_JUMP_LIMIT_BINS,
+    estimates: Estimates, config: StsaConfig, sample_rate_hz: float
 ) -> list[np.ndarray]:
     """Greedy nearest-frequency association of block estimates into tracks.
 
@@ -46,16 +36,15 @@ def assemble_tracks(
 
     Within a block, estimates are matched in peel order; each joins the open
     track whose last frequency is nearest, provided the jump stays under
-    jump_limit_bins bins per elapsed block, otherwise it starts a new track.
+    config.jump_limit_bins bins per elapsed block, otherwise it starts a new track.
     A track accepts at most one estimate per block.  Of the tracks at the
     nearest distance, the one opened first wins.
     """
-    check_jump_limit(jump_limit_bins)
     if not np.isfinite(estimates.freq_hz).all():
         raise ValueError("estimate frequencies must be finite")
     if np.any(estimates.block_index[1:] < estimates.block_index[:-1]):
         raise ValueError("blocks must be supplied in increasing index order")
-    limit = jump_limit_bins * config.bin_width_hz(sample_rate_hz)  # per elapsed block
+    limit = config.jump_limit_bins * config.bin_width_hz(sample_rate_hz)  # per elapsed block
     members, ends = [], []  # per track: its rows, and the frequency and block it ends at
     by_freq = []  # (end frequency, track) of every track, sorted
     for row, (block, freq) in enumerate(zip(estimates.block_index.tolist(),

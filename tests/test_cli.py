@@ -20,7 +20,7 @@ def run(argv):
 def test_cancel_requires_at_least_one_pass(tmp_path, capsys):
     stream = SampleStream(np.ones(1024, complex), 2048000.0)
     with pytest.raises(ValueError, match="passes must be at least 1"):
-        run_cancel(stream, StsaConfig(), passes=0)
+        StsaConfig(passes=0)
     src = tmp_path / "in.iq"
     resid = tmp_path / "resid.iq"
     write_iq(stream, src, IqFormat.FLOAT32)
@@ -35,8 +35,8 @@ def test_pass_count_must_be_an_integer():
     stream = SampleStream(np.ones(1024, complex), 2048000.0)
     for passes in (1.5, 2.0):
         with pytest.raises(ValueError, match=f"passes must be an integer, got {passes}"):
-            run_cancel(stream, StsaConfig(), passes=passes)
-    assert len(run_cancel(stream, StsaConfig(), passes=np.int64(2)).blocks_per_pass) == 2
+            StsaConfig(passes=passes)
+    assert len(run_cancel(stream, StsaConfig(passes=np.int64(2))).blocks_per_pass) == 2
 
 
 @pytest.mark.parametrize("fmt", list(IqFormat))
@@ -53,7 +53,7 @@ def test_estimate_file_is_the_encoded_difference(tmp_path, fmt, passes):
                 "--passes", str(passes), "--out-residual", str(resid),
                 "--out-estimate", str(est)]) == 0
     original = read_iq(src, fmt, 2048000.0)
-    residual = run_cancel(original, StsaConfig(), passes=passes, inter_pass_format=fmt).residual
+    residual = run_cancel(original, StsaConfig(passes=passes), inter_pass_format=fmt).residual
     difference = SampleStream(original.samples - residual.samples, 2048000.0)
     assert resid.read_bytes() == encode_iq(residual, fmt)
     assert est.read_bytes() == encode_iq(difference, fmt)
@@ -80,9 +80,10 @@ def test_track_csv_numbers_tracks_across_passes(tmp_path, max_peel, strongest_on
                 "--threshold-db", "20", *(["--strongest-only"] if strongest_only else []),
                 "--passes", "2", "--out-residual", str(tmp_path / "resid.iq"),
                 "--out-tracks", str(out)]) == 0
-    config = StsaConfig(max_peel=max_peel, detect_threshold_db=20.0)
-    result = run_cancel(read_iq(src, IqFormat.FLOAT32, 2048000.0), config, passes=2,
-                        strongest_only=strongest_only, inter_pass_format=IqFormat.FLOAT32)
+    config = StsaConfig(max_peel=max_peel, detect_threshold_db=20.0, passes=2,
+                        strongest_only=strongest_only)
+    result = run_cancel(read_iq(src, IqFormat.FLOAT32, 2048000.0), config,
+                        inter_pass_format=IqFormat.FLOAT32)
     assert all(result.tracks_per_pass)
     lengths = [len(rows) for tracks in result.tracks_per_pass for rows in tracks]
     ids = np.loadtxt(out, delimiter=",", skiprows=1, usecols=0, dtype=int, ndmin=1)
@@ -388,7 +389,7 @@ class TestAnalyze:
 
 
 class TestLibraryOwnsSettings:
-    """The CLI reads its estimator defaults, choices and CSV layouts from the library."""
+    """The CLI reads its config defaults, choices and CSV layouts from the library."""
 
     def cancel_config(self, tmp_path, monkeypatch, flags):
         src = tmp_path / "in.iq"
@@ -410,10 +411,14 @@ class TestLibraryOwnsSettings:
 
     def test_each_flag_sets_its_field(self, tmp_path, monkeypatch):
         flags = ["--n", "128", "--window", "hamming", "--threshold-db", "12.5",
-                 "--grid-frac", "0.02", "--max-peel", "3", "--overlap", "half"]
-        assert self.cancel_config(tmp_path, monkeypatch, flags) == [
-            StsaConfig(block_len_n=128, window="hamming", detect_threshold_db=12.5,
-                       fine_grid_fraction=0.02, max_peel=3, overlap="half")]
+                 "--grid-frac", "0.02", "--max-peel", "3", "--overlap", "half",
+                 "--jump-limit", "0.25", "--passes", "2", "--strongest-only"]
+        want = StsaConfig(block_len_n=128, window="hamming", detect_threshold_db=12.5,
+                          fine_grid_fraction=0.02, max_peel=3, overlap="half",
+                          jump_limit_bins=0.25, passes=2, strongest_only=True)
+        assert all(getattr(want, f.name) != getattr(StsaConfig(), f.name)
+                   for f in dataclasses.fields(StsaConfig))  # the flags move every field
+        assert self.cancel_config(tmp_path, monkeypatch, flags) == [want]
 
     def test_every_config_field_is_a_cancel_dest(self):
         args = build_parser().parse_args(["cancel", "--in", "x", "--rate", RATE,
@@ -605,6 +610,17 @@ class TestParameterErrors:
         assert src.read_bytes() == data
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["tone.iq", "link.iq", "hard.iq"] + ["r.iq"] * ("--before" in argv))
+
+    def test_two_outputs_that_are_hard_links_of_one_file_are_rejected(self, tmp_path, capsys):
+        src = self.tone_file(tmp_path, n=2560)
+        resid, est = tmp_path / "r.iq", tmp_path / "e.iq"
+        resid.write_bytes(b"old")
+        est.hardlink_to(resid)
+        self.expect_error(capsys, ["cancel", "--in", str(src), "--rate", RATE,
+                                   "--out-residual", str(resid), "--out-estimate", str(est)],
+                          "two output flags name one file, ")
+        assert resid.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.iq", "r.iq", "tone.iq"]
 
     def test_a_device_may_take_several_outputs(self, tmp_path, capsys):
         src = self.tone_file(tmp_path, n=2560)

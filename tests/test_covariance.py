@@ -58,11 +58,9 @@ def test_scaling_the_capture_by_a_power_of_two_scales_run_cancel_exactly(
         capture, k, passes, inter_pass_format, strongest_only, overlap, threshold_db, max_peel):
     n, stream = capture
     config = StsaConfig(block_len_n=n, overlap=overlap, detect_threshold_db=threshold_db,
-                        max_peel=max_peel)
-    settings = dict(passes=passes, strongest_only=strongest_only,
-                    inter_pass_format=inter_pass_format)
-    want = run_cancel(stream, config, **settings)
-    got = run_cancel(SampleStream(scaled(stream.samples, k), RATE), config, **settings)
+                        max_peel=max_peel, passes=passes, strongest_only=strongest_only)
+    want = run_cancel(stream, config, inter_pass_format)
+    got = run_cancel(SampleStream(scaled(stream.samples, k), RATE), config, inter_pass_format)
 
     assert got.residual.samples.tobytes() == scaled(want.residual.samples, k).tobytes()
     for got_est, want_est in zip(got.blocks_per_pass, want.blocks_per_pass, strict=True):

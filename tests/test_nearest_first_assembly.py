@@ -6,6 +6,8 @@ wins, the lowest track index on a tie.  assemble_tracks walks the open tracks
 outward from the estimate's frequency instead, and must give the same tracks.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from scenarios import FM_CONFIG, RATE, STATIONS_CONFIG, fm_stream, three_station
 from table_helpers import estimates_table
 
 
-def all_pairs_assemble(estimates, config, sample_rate_hz, jump_limit_bins):
+def all_pairs_assemble(estimates, config, sample_rate_hz):
     bin_width = config.bin_width_hz(sample_rate_hz)
     members, ends = [], []  # per track: its rows, and the frequency and block it ends at
     current, taken = None, set()
@@ -30,7 +32,7 @@ def all_pairs_assemble(estimates, config, sample_rate_hz, jump_limit_bins):
         for ti, (track_freq, track_block) in enumerate(ends):
             if ti in taken:
                 continue
-            limit = jump_limit_bins * bin_width * (block - track_block)
+            limit = config.jump_limit_bins * bin_width * (block - track_block)
             dist = abs(freq - track_freq)
             if dist < limit and (best_dist is None or dist < best_dist):
                 best, best_dist = ti, dist
@@ -56,9 +58,10 @@ def fm_estimates():
 
 @pytest.mark.parametrize("jump_limit_bins,n_tracks", [(0.5, 43), (0.1, 97), (0.02, 205)])
 def test_fm_scenario_matches_all_pairs(fm_estimates, jump_limit_bins, n_tracks):
-    got = assemble_tracks(fm_estimates, FM_CONFIG, RATE, jump_limit_bins)
+    config = dataclasses.replace(FM_CONFIG, jump_limit_bins=jump_limit_bins)
+    got = assemble_tracks(fm_estimates, config, RATE)
     assert len(got) == n_tracks
-    assert_same_tracks(got, all_pairs_assemble(fm_estimates, FM_CONFIG, RATE, jump_limit_bins))
+    assert_same_tracks(got, all_pairs_assemble(fm_estimates, config, RATE))
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +72,10 @@ def station_estimates():
 @pytest.mark.parametrize("jump_limit_bins,n_tracks", [(0.5, 6), (0.1, 22)])
 def test_three_station_mixture_matches_all_pairs(station_estimates, jump_limit_bins, n_tracks):
     # three to five peels per block, so the walk passes tracks already extended in the block
-    got = assemble_tracks(station_estimates, STATIONS_CONFIG, RATE, jump_limit_bins)
+    config = dataclasses.replace(STATIONS_CONFIG, jump_limit_bins=jump_limit_bins)
+    got = assemble_tracks(station_estimates, config, RATE)
     assert len(got) == n_tracks
-    assert_same_tracks(got, all_pairs_assemble(station_estimates, STATIONS_CONFIG, RATE,
-                                               jump_limit_bins))
+    assert_same_tracks(got, all_pairs_assemble(station_estimates, config, RATE))
 
 
 @st.composite
@@ -93,9 +96,9 @@ def small_tables(draw):
 @given(small_tables())
 def test_small_tables_match_all_pairs(case):
     table, jump_limit_bins = case
-    config = StsaConfig()  # 8 kHz bins at RATE
-    assert_same_tracks(assemble_tracks(table, config, RATE, jump_limit_bins),
-                       all_pairs_assemble(table, config, RATE, jump_limit_bins))
+    config = StsaConfig(jump_limit_bins=jump_limit_bins)  # 8 kHz bins at RATE
+    assert_same_tracks(assemble_tracks(table, config, RATE),
+                       all_pairs_assemble(table, config, RATE))
 
 
 @settings(max_examples=400)
@@ -104,7 +107,7 @@ def test_tracks_partition_the_table_rows(case):
     """Each row is in exactly one track, blocks strictly increase along a track,
     and the tracks are listed in the order their first rows appear."""
     table, jump_limit_bins = case
-    tracks = assemble_tracks(table, StsaConfig(), RATE, jump_limit_bins)
+    tracks = assemble_tracks(table, StsaConfig(jump_limit_bins=jump_limit_bins), RATE)
     rows = np.concatenate([np.zeros(0, np.intp), *tracks])
     assert np.sort(rows).tolist() == list(range(table.freq_hz.size))
     assert all(np.all(np.diff(table.block_index[t]) > 0) for t in tracks)

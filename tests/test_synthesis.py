@@ -1,5 +1,7 @@
 """Track assembly, waveform rendering, and cancellation tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,14 +80,28 @@ class TestAssembleTracks:
 
     @pytest.mark.parametrize("limit", [0.0, -0.5, float("nan")])
     def test_non_positive_jump_limit_rejected(self, limit):
-        blocks = blocks_from({0: [est(0, 0.0)], 1: [est(1, 0.0)]})
         with pytest.raises(ValueError, match="jump_limit_bins must be positive"):
-            assemble_tracks(blocks, self.CFG, RATE, jump_limit_bins=limit)
+            StsaConfig(jump_limit_bins=limit)
 
     def test_out_of_order_blocks_rejected(self):
         blocks = estimates_table([est(1, 0.0), est(0, 0.0)])
         with pytest.raises(ValueError, match="order"):
             assemble_tracks(blocks, self.CFG, RATE)
+
+
+def test_pipeline_fields_change_no_estimate_or_waveform():
+    """jump_limit_bins, passes and strongest_only are read by assemble_tracks and
+    run_cancel only: process_stream and synthesize ignore them."""
+    stream = fm_stream(0.05)
+    moved = dataclasses.replace(FM_CONFIG, jump_limit_bins=0.1, passes=3, strongest_only=True)
+    want, got = process_stream(stream, FM_CONFIG), process_stream(stream, moved)
+    for name in ("block_index", "peel_rank", "amp", "freq_hz", "phase_rad", "t_center_s",
+                 "noise_floor"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    tracks = assemble_tracks(want, FM_CONFIG, RATE)
+    meta = (len(stream), RATE)
+    assert synthesize(tracks, meta, moved, want).tobytes() == \
+        synthesize(tracks, meta, FM_CONFIG, want).tobytes()
 
 
 class TestSynthesize:
