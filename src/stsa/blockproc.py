@@ -50,9 +50,12 @@ class StsaConfig:
     """The settings of one cancel run: the estimator's, the tracker's and the pipeline's.
 
     fine_grid_fraction is the frequency search step as a fraction of one FFT
-    bin; the search covers the coarse peak's main lobe, the class constant
-    fine_search_span_bins = 1 bin either side.  max_peel bounds how many
-    sinusoids are extracted per block (the detection threshold is the primary stop).
+    bin; the search takes round(fine_search_span_bins / fine_grid_fraction)
+    steps either side of the coarse peak, with the class constant
+    fine_search_span_bins = 1: one bin when 1/fraction is whole, as at the
+    default 0.01, else between 2/3 and 4/3 bin (0.7 bin at 0.7, 1.2 at 0.6).
+    max_peel bounds how many sinusoids are extracted per block (the detection
+    threshold is the primary stop).
     jump_limit_bins bounds a track's frequency step, in bins per elapsed block;
     passes counts the estimate-cancel iterations, and strongest_only cancels
     only each pass's highest-energy track.
@@ -266,8 +269,9 @@ def refine_frequency(
 ) -> float:
     """Grid argmax of the correlation magnitude around the coarse frequency.
 
-    The grid spans coarse +/- one bin in steps of fine_grid_fraction of a bin;
-    ties break toward the frequency nearest the coarse estimate.
+    The grid takes round(1 / fine_grid_fraction) steps of fine_grid_fraction of a bin
+    either side of coarse (see StsaConfig); ties break toward the frequency nearest
+    the coarse estimate.
     """
     n = windowed_block.size
     offsets_hz, bank = _correlation_bank(n, sample_rate_hz, config.fine_grid_fraction)

@@ -19,8 +19,6 @@ from . import blockproc, iq, metrics, pipeline, siggen, synthesis
 from .blockproc import OVERLAP_MODES, StsaConfig
 from .iq import IqFormat
 
-WINDOW_FLAGS = {"tri": "triangular", "hamming": "hamming", "rect": "rectangular"}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -46,8 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     size = g.add_mutually_exclusive_group(required=True)
     size.add_argument("--n", type=int, help="number of samples")
     size.add_argument("--dur", type=float, help="duration in seconds")
-    g.add_argument("--freq", type=float, default=0.0, help="tone/AM carrier offset in Hz")
-    g.add_argument("--offset", type=float, default=0.0, help="NBFM carrier offset in Hz")
+    g.add_argument("--freq", type=float, default=0.0, help="carrier offset in Hz")
     g.add_argument("--amp", type=float, default=1.0, help="carrier amplitude")
     g.add_argument("--psi", type=float, default=0.0, help="tone start phase in radians")
     g.add_argument("--dev", type=float, default=4000.0, help="NBFM peak deviation in Hz")
@@ -77,8 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = StsaConfig()  # one flag per field: dest is the field name, default its value
     c.add_argument("--n", dest="block_len_n", type=int, default=defaults.block_len_n,
                    help="block length N in samples")
-    c.add_argument("--window", choices=sorted(WINDOW_FLAGS),
-                   default=next(k for k, v in WINDOW_FLAGS.items() if v == defaults.window),
+    c.add_argument("--window", choices=blockproc.WINDOW_NAMES, default=defaults.window,
                    help="analysis window")
     c.add_argument("--threshold-db", dest="detect_threshold_db", type=float,
                    default=defaults.detect_threshold_db,
@@ -119,10 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--before", help="pre-cancellation IQ path (suppression)")
     a.add_argument("--after", help="post-cancellation IQ path (suppression)")
     a.add_argument("--res", type=float, default=metrics.DEFAULT_RESOLUTION_HZ,
-                   help="spectral resolution in Hz")
+                   help="frequency resolution in Hz")
     a.add_argument("--tres", type=float, default=0.008, help="waterfall time resolution in s")
-    a.add_argument("--fres", type=float, default=metrics.DEFAULT_RESOLUTION_HZ,
-                   help="waterfall frequency resolution in Hz")
     a.add_argument("--band", type=float, nargs=2, metavar=("LO", "HI"),
                    help="signal band for the suppression report")
     a.add_argument("--out", help="output CSV path")
@@ -181,7 +175,7 @@ def cmd_generate(args) -> int:
         )
     else:
         spec = siggen.NbfmSpec(
-            carrier_offset_hz=args.offset,
+            carrier_offset_hz=args.freq,
             deviation_hz=args.dev,
             duration_s=n / args.rate,
             amp=args.amp,
@@ -207,8 +201,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_cancel(args) -> int:
-    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(StsaConfig)}
-    config = StsaConfig(**{**settings, "window": WINDOW_FLAGS[args.window]})
+    config = StsaConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(StsaConfig)})
     fmt = IqFormat(args.format)
     if args.report and not args.band:
         raise ValueError("--report needs --band")
@@ -227,15 +220,14 @@ def cmd_cancel(args) -> int:
     if args.out_estimate:
         jobs.append(lambda: iq.write_iq(stream, args.out_estimate, fmt, minus=result.residual))
     if args.out_tracks:
-        jobs.append(lambda: synthesis.write_tracks_csv(
-            zip(result.blocks_per_pass, result.tracks_per_pass), args.out_tracks))
+        jobs.append(lambda: synthesis.write_tracks_csv(result.passes, args.out_tracks))
     with ThreadPoolExecutor(blockproc.worker_count(len(jobs))) as pool:
         report, *_ = [f.result() for f in [pool.submit(job) for job in jobs]]
     if band:
         print(metrics.format_report(report))
         if args.report:
             metrics.write_report_csv(report, args.report)
-    n_tracks = sum(len(t) for t in result.tracks_per_pass)
+    n_tracks = sum(len(tracks) for _, tracks in result.passes)
     print(f"wrote residual to {args.out_residual} ({n_tracks} tracks over "
           f"{config.passes} pass(es))")
     return 0
@@ -266,7 +258,7 @@ def cmd_analyze(args) -> int:
         metrics.write_spectrum_csv(frame, args.out)
         print(f"wrote {frame.freqs_hz.size}-bin spectrum to {args.out}")
     else:
-        ds = metrics.dynamic_spectrum(stream, args.tres, args.fres)
+        ds = metrics.dynamic_spectrum(stream, args.tres, args.res)
         metrics.write_dynamic_spectrum_csv(ds, args.out)
         print(f"wrote {ds.power.shape[0]}x{ds.power.shape[1]} waterfall to {args.out}")
     return 0

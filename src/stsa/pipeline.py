@@ -6,7 +6,7 @@ Each stage is called through its module attribute (`blockproc.process_stream`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import blockproc, iq, synthesis
 from .blockproc import StsaConfig
@@ -15,9 +15,10 @@ from .iq import IqFormat, SampleStream
 
 @dataclass
 class CancelResult:
+    """The last pass's residual, and one (estimates, tracks) pair per pass."""
+
     residual: SampleStream
-    tracks_per_pass: list = field(default_factory=list)
-    blocks_per_pass: list = field(default_factory=list)
+    passes: list
 
 
 def run_cancel(
@@ -25,14 +26,14 @@ def run_cancel(
 ) -> CancelResult:
     """Estimate-and-subtract the stream config.passes times, each pass on the last residual.
 
-    Each pass keeps its estimate table and its tracks, the row arrays of that
-    table that it rendered; synthesis.write_tracks_csv numbers them.
+    Each pass keeps one pair, its estimate table and its tracks (the row arrays
+    of that table that it rendered); synthesis.write_tracks_csv numbers them.
     When inter_pass_format is set, the residual is round-tripped through that
     codec between passes, so an n-pass run is byte-identical to n chained
     single-pass runs over files of that format.
     """
     work = stream
-    result = CancelResult(stream)
+    passes = []
     for p in range(config.passes):
         blocks = blockproc.process_stream(work, config)
         tracks = synthesis.assemble_tracks(blocks, config, work.sample_rate_hz)
@@ -46,8 +47,6 @@ def run_cancel(
                 inter_pass_format,
                 residual.sample_rate_hz,
             )
-        result.blocks_per_pass.append(blocks)
-        result.tracks_per_pass.append(tracks)
+        passes.append((blocks, tracks))
         work = residual
-    result.residual = work
-    return result
+    return CancelResult(work, passes)

@@ -95,6 +95,8 @@ class NbfmSpec:
             raise ValueError("mod_noise_bw_hz must be positive")
         if self.mod_noise_rms is not None and not 0 < self.mod_noise_rms < 1:
             raise ValueError("mod_noise_rms must lie in (0, 1)")
+        if self.mod_noise_rms is not None and self.mod_noise_bw_hz is None:
+            raise ValueError("mod_noise_rms needs mod_noise_bw_hz")
 
     def carson_band_hz(self) -> tuple[float, float]:
         """Occupied band per Carson's rule: carrier ± (deviation + highest mod frequency)."""

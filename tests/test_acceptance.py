@@ -26,7 +26,7 @@ from stsa.metrics import (
     power_spectrum,
     suppression_report,
 )
-from stsa.siggen import gen_tone, mix
+from stsa.siggen import add_awgn, gen_am, gen_nbfm, gen_tone, mix
 from stsa.synthesis import assemble_tracks, cancel, synthesize
 from scenarios import FM_CONFIG, RATE, STATIONS_CONFIG, fm_spec, fm_stream, three_station_stream
 from table_helpers import tracks_table
@@ -69,10 +69,56 @@ def fm_scenario():
 def test_reference_scenario_counts(fm_scenario):
     """The single pass peels 15,478 sinusoids from 8,000 blocks into 43 tracks."""
     single = fm_scenario["single"]
-    blocks = single.blocks_per_pass[0]
+    blocks, tracks = single.passes[0]
     assert len(blocks) == 8000
     assert sum(len(b.estimates) for b in blocks) == 15478
-    assert len(single.tracks_per_pass[0]) == 43
+    assert len(tracks) == 43
+
+
+def test_characterization_fm_carrier_against_truth(fm_scenario):
+    """The carrier's track follows the generator's frequency, averaged over each block.
+
+    Today it lies 78.7 Hz RMS and 319 Hz at most from that truth, against the
+    fine grid's 80 Hz step, with a mean error of -0.15 Hz, and its spread
+    (standard deviation) is 2,994 Hz against the truth's 2,978 Hz.  The bounds
+    leave about 8 % on the RMS, a grid step on the maximum and 1.5 % on the
+    spread; a one-step (80 Hz) bias breaks the RMS and mean bounds.
+    """
+    blocks, tracks = fm_scenario["single"].passes[0]
+    _, truth = gen_nbfm(fm_spec(1.0), RATE)
+    block_mean_hz = truth.f_inst_hz.reshape(len(blocks), N).mean(axis=1)
+    rows = max(tracks, key=len)
+    found_hz, want_hz = blocks.freq_hz[rows], block_mean_hz[blocks.block_index[rows]]
+    error = found_hz - want_hz
+    rms, worst, bias = np.sqrt(np.mean(error**2)), np.abs(error).max(), error.mean()
+    spread = found_hz.std() / want_hz.std()
+    ok = (len(rows) == len(blocks) and rms <= 85.0 and worst <= 400.0 and abs(bias) <= 8.0
+          and abs(spread - 1.0) <= 0.02)
+    assert report(
+        "characterization (FM carrier frequency)",
+        ok,
+        f"{len(rows)} of {len(blocks)} blocks, error {rms:.1f} Hz RMS (<=85), {worst:.0f} Hz max "
+        f"(<=400), mean {bias:+.2f} Hz (|.|<=8); spread {spread:.4f} of the truth's (1±0.02)",
+    )
+
+
+def test_characterization_am_depth_against_truth():
+    """An AM carrier's track has the generator's modulation depth.
+
+    The capture and settings are the benchmark's long_hires workload: 4 s of a
+    10 kHz carrier, index 0.5 at 50 Hz, 40 dB SNR over 9-11 kHz, cancelled in
+    2048-sample Hamming blocks.  Today the track's depth (max - min) / (max + min)
+    is 0.511; the bound is the index ± 0.02.
+    """
+    clean, _ = gen_am(10000.0, 1.0, 0.5, 50.0, int(4 * RATE), RATE)
+    capture = add_awgn(clean, 40.0, (9000.0, 11000.0), 5)
+    config = StsaConfig(block_len_n=2048, window="hamming", detect_threshold_db=12.0, max_peel=2)
+    blocks, tracks = run_cancel(capture, config).passes[0]
+    amp = blocks.amp[max(tracks, key=len)]
+    depth = (amp.max() - amp.min()) / (amp.max() + amp.min())
+    ok = amp.size == len(blocks) and abs(depth - 0.5) <= 0.02
+    assert report("characterization (AM depth)", ok,
+                  f"{amp.size} of {len(blocks)} blocks, depth {depth:.4f} (0.5±0.02)")
 
 
 def test_criterion_1_nbfm_reproduction(fm_scenario):

@@ -36,7 +36,7 @@ def test_pass_count_must_be_an_integer():
     for passes in (1.5, 2.0):
         with pytest.raises(ValueError, match=f"passes must be an integer, got {passes}"):
             StsaConfig(passes=passes)
-    assert len(run_cancel(stream, StsaConfig(passes=np.int64(2))).blocks_per_pass) == 2
+    assert len(run_cancel(stream, StsaConfig(passes=np.int64(2))).passes) == 2
 
 
 @pytest.mark.parametrize("fmt", list(IqFormat))
@@ -84,8 +84,8 @@ def test_track_csv_numbers_tracks_across_passes(tmp_path, max_peel, strongest_on
                         strongest_only=strongest_only)
     result = run_cancel(read_iq(src, IqFormat.FLOAT32, 2048000.0), config,
                         inter_pass_format=IqFormat.FLOAT32)
-    assert all(result.tracks_per_pass)
-    lengths = [len(rows) for tracks in result.tracks_per_pass for rows in tracks]
+    assert all(tracks for _, tracks in result.passes)
+    lengths = [len(rows) for _, tracks in result.passes for rows in tracks]
     ids = np.loadtxt(out, delimiter=",", skiprows=1, usecols=0, dtype=int, ndmin=1)
     assert ids.tolist() == np.repeat(np.arange(len(lengths)), lengths).tolist()
 
@@ -343,12 +343,25 @@ class TestAnalyze:
     def test_waterfall_row_count(self, one_second_file, tmp_path):
         out = tmp_path / "wf.csv"
         code = run([
-            "analyze", "--waterfall", "--tres", "0.008", "--fres", "125",
+            "analyze", "--waterfall", "--tres", "0.008", "--res", "125",
             "--in", str(one_second_file), "--rate", RATE, "--out", str(out),
         ])
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 125
+
+    def test_freq_and_res_serve_every_mode(self, tmp_path):
+        """--freq places an NBFM carrier and --res sets a waterfall's bins, as in other modes."""
+        src, spec, wf = tmp_path / "fm.iq", tmp_path / "spec.csv", tmp_path / "wf.csv"
+        assert run(["generate", "--nbfm", "--freq", "50000", "--dev", "1000", "--mod-tone", "500",
+                    "--rate", "200000", "--n", "20000", "--out", str(src)]) == 0
+        assert run(["analyze", "--spectrum", "--res", "1000", "--in", str(src),
+                    "--rate", "200000", "--out", str(spec)]) == 0
+        freqs, power = np.loadtxt(spec, delimiter=",", skiprows=1, unpack=True)
+        assert abs(freqs[np.argmax(power)] - 50000.0) <= 1000.0
+        assert run(["analyze", "--waterfall", "--res", "5000", "--tres", "0.01", "--in", str(src),
+                    "--rate", "200000", "--out", str(wf)]) == 0
+        assert len(wf.read_text().splitlines()[0].split(",")) == 1 + 40  # time_s, then 40 bins
 
     def test_suppression_report(self, one_second_file, tmp_path, capsys):
         resid = tmp_path / "resid.iq"
@@ -371,7 +384,7 @@ class TestAnalyze:
             "--out", str(src),
         ]) == 0
         code = run([
-            "analyze", "--waterfall", "--tres", "0.001", "--fres", "125",
+            "analyze", "--waterfall", "--tres", "0.001", "--res", "125",
             "--in", str(src), "--rate", RATE, "--out", str(tmp_path / "w.csv"),
         ])
         assert code == 2
@@ -409,15 +422,22 @@ class TestLibraryOwnsSettings:
     def test_cancel_defaults_are_the_config_defaults(self, tmp_path, monkeypatch):
         assert self.cancel_config(tmp_path, monkeypatch, []) == [StsaConfig()]
 
-    def test_each_flag_sets_its_field(self, tmp_path, monkeypatch):
-        flags = ["--n", "128", "--window", "hamming", "--threshold-db", "12.5",
-                 "--grid-frac", "0.02", "--max-peel", "3", "--overlap", "half",
-                 "--jump-limit", "0.25", "--passes", "2", "--strongest-only"]
-        want = StsaConfig(block_len_n=128, window="hamming", detect_threshold_db=12.5,
+    @pytest.mark.parametrize("window", ["hamming", "rectangular"])
+    def test_each_flag_sets_its_field(self, tmp_path, monkeypatch, window):
+        """A recorded config replays as flags: each value verbatim, the flag alone for True."""
+        flag_of = {"block_len_n": "--n", "window": "--window",
+                   "detect_threshold_db": "--threshold-db", "fine_grid_fraction": "--grid-frac",
+                   "max_peel": "--max-peel", "overlap": "--overlap",
+                   "jump_limit_bins": "--jump-limit", "passes": "--passes",
+                   "strongest_only": "--strongest-only"}
+        want = StsaConfig(block_len_n=128, window=window, detect_threshold_db=12.5,
                           fine_grid_fraction=0.02, max_peel=3, overlap="half",
                           jump_limit_bins=0.25, passes=2, strongest_only=True)
         assert all(getattr(want, f.name) != getattr(StsaConfig(), f.name)
                    for f in dataclasses.fields(StsaConfig))  # the flags move every field
+        flags = []
+        for name, value in dataclasses.asdict(want).items():
+            flags += [flag_of[name]] if value is True else [flag_of[name], str(value)]
         assert self.cancel_config(tmp_path, monkeypatch, flags) == [want]
 
     def test_every_config_field_is_a_cancel_dest(self):
@@ -442,6 +462,21 @@ class TestLibraryOwnsSettings:
             run(["cancel", "--in", "x", "--rate", RATE, "--span-bins", "1",
                  "--out-residual", str(tmp_path / "r.iq")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--nbfm", "--offset", "2000", "--n", "64", "--out", "x.iq"],
+        ["analyze", "--waterfall", "--fres", "125", "--in", "x.iq", "--out", "w.csv"],
+        ["cancel", "--window", "tri", "--in", "x.iq", "--out-residual", "r.iq"],
+        ["cancel", "--window", "rect", "--in", "x.iq", "--out-residual", "r.iq"],
+    ], ids=["offset", "fres", "window-tri", "window-rect"])
+    def test_removed_spellings_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv):
+        """--freq and --res serve every mode, and --window takes the library's names."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--rate", RATE])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestParameterErrors:
@@ -513,11 +548,11 @@ class TestParameterErrors:
 
     @pytest.mark.parametrize("what,flag,value,message", [
         ("--spectrum", "--res", "1e-320", "resolution_hz 1e-320 is too fine"),
-        ("--waterfall", "--fres", "1e-320", "resolution_hz 1e-320 is too fine"),
+        ("--waterfall", "--res", "1e-320", "resolution_hz 1e-320 is too fine"),
         ("--waterfall", "--tres", "1e303", "t_res_s 1e+303 is too long"),
         ("--waterfall", "--tres", "inf", "t_res_s must be positive and finite"),
         ("--waterfall", "--tres", "nan", "t_res_s must be positive and finite"),
-        ("--waterfall", "--fres", "nan", "resolution_hz must be positive and finite"),
+        ("--waterfall", "--res", "nan", "resolution_hz must be positive and finite"),
         ("--spectrum", "--res", "nan", "resolution_hz must be positive and finite"),
         ("--spectrum", "--res", "inf", "resolution_hz must be positive and finite"),
     ])
@@ -662,6 +697,13 @@ class TestParameterErrors:
                                    "--out", str(out)], message,
                           [out, tmp_path / "x.iq.truth.csv"])
 
+    def test_generate_noise_rms_needs_noise_bw(self, tmp_path, capsys):
+        # without --mod-noise-bw there is no noise for --mod-noise-rms to drive
+        out = tmp_path / "x.iq"
+        self.expect_error(capsys, ["generate", "--nbfm", "--rate", RATE, "--n", "4096",
+                                   "--mod-noise-rms", "0.5", "--out", str(out)],
+                          "mod_noise_rms needs mod_noise_bw_hz", [out, tmp_path / "x.iq.truth.csv"])
+
     @pytest.mark.parametrize("exists", [True, False])
     def test_cancel_report_needs_band(self, tmp_path, capsys, exists):
         src = self.tone_file(tmp_path, n=2560) if exists else tmp_path / "missing.iq"
@@ -703,7 +745,7 @@ class TestOutputsMatchLibrary:
         (["--am", "--freq", "20000", "--amp", "0.8", "--mod-index", "0.7", "--mod-freq", "500",
           "--n", "5000"],
          lambda rate: siggen.gen_am(20000.0, 0.8, 0.7, 500.0, 5000, rate)),
-        (["--nbfm", "--offset", "2000", "--mod-tone", "1000:0.5", "--mod-tone", "2500:0.25",
+        (["--nbfm", "--freq", "2000", "--mod-tone", "1000:0.5", "--mod-tone", "2500:0.25",
           "--dur", "0.01"],
          lambda rate: siggen.gen_nbfm(siggen.NbfmSpec(
              2000.0, 4000.0, 20480 / rate, mod_tones=((1000.0, 0.5), (2500.0, 0.25))), rate)),

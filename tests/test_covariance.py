@@ -63,13 +63,13 @@ def test_scaling_the_capture_by_a_power_of_two_scales_run_cancel_exactly(
     got = run_cancel(SampleStream(scaled(stream.samples, k), RATE), config, inter_pass_format)
 
     assert got.residual.samples.tobytes() == scaled(want.residual.samples, k).tobytes()
-    for got_est, want_est in zip(got.blocks_per_pass, want.blocks_per_pass, strict=True):
+    for (got_est, _), (want_est, _) in zip(got.passes, want.passes, strict=True):
         assert got_est.amp.tobytes() == scaled(want_est.amp, k).tobytes()
         assert got_est.noise_floor.tobytes() == scaled(want_est.noise_floor, 2 * k).tobytes()
         for name in ("freq_hz", "phase_rad", "block_index", "peel_rank", "t_center_s"):
             assert getattr(got_est, name).tobytes() == getattr(want_est, name).tobytes()
-    assert [[t.tolist() for t in p] for p in got.tracks_per_pass] == \
-        [[t.tolist() for t in p] for p in want.tracks_per_pass]
+    assert [[t.tolist() for t in p] for _, p in got.passes] == \
+        [[t.tolist() for t in p] for _, p in want.passes]
 
 
 # Bounds: 6-9 times the largest error seen over 6,000 random captures of this kind at

@@ -43,7 +43,7 @@ def test_pipeline_builds_no_per_estimate_objects(monkeypatch, tmp_path):
     monkeypatch.setattr(blockproc, "SinusoidEstimate", refuse)
     monkeypatch.setattr(blockproc, "BlockEstimates", refuse)
     result = run_cancel(fm_stream(1.0), FM_CONFIG)
-    table, tracks = result.blocks_per_pass[0], result.tracks_per_pass[0]
+    table, tracks = result.passes[0]
     write_tracks_csv([(table, tracks)], tmp_path / "tracks.csv")
     assert (len(table), table.freq_hz.size, len(tracks)) == (8000, 15478, 43)
     with pytest.raises(AssertionError, match="per-estimate"):
@@ -63,7 +63,7 @@ def test_benchmark_tracer_counts_the_table(monkeypatch):
         tracer.restore()
     assert (blockproc.process_stream, stsa.synthesis.assemble_tracks) == originals
     metrics = spans.pipeline_metrics(tracer, tracer.run_id)
-    table, tracks = result.blocks_per_pass[0], result.tracks_per_pass[0]
+    table, tracks = result.passes[0]
     assert table.freq_hz.size > len(table) > 0
     assert metrics["blockproc.blocks"][0] == len(table)
     assert metrics["blockproc.estimates"][0] == table.freq_hz.size

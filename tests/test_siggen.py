@@ -330,6 +330,10 @@ class TestInputChecks:
         ({"mod_noise_bw_hz": 0.0}, "mod_noise_bw_hz must be positive"),
         ({"mod_noise_bw_hz": 1000.0, "mod_noise_rms": 1.0}, r"mod_noise_rms must lie in \(0, 1\)"),
         ({"mod_noise_bw_hz": 1000.0, "mod_noise_rms": 0.0}, r"mod_noise_rms must lie in \(0, 1\)"),
+        # without a noise bandwidth there is no noise for mod_noise_rms to drive
+        ({"mod_noise_rms": 0.5}, "mod_noise_rms needs mod_noise_bw_hz"),
+        ({"mod_tones": ((1000.0, 0.5),), "mod_noise_rms": 0.5},
+         "mod_noise_rms needs mod_noise_bw_hz"),
         # NaN fails every comparison, so each check must be written to fail on it
         ({"deviation_hz": np.nan}, "deviation_hz must be nonnegative"),
         ({"duration_s": np.nan}, "duration_s must be positive"),
