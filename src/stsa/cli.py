@@ -123,6 +123,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags (by dest) that only some modes read -> those modes (for --snr-band, the flag --snr).
+# Set away from its default in a run of another mode, such a flag would be ignored: it is a
+# parameter error.
+MODE_FLAGS = {"psi": "tone", "dev": "nbfm", "mod_tone": "nbfm", "mod_noise_bw": "nbfm",
+              "mod_noise_rms": "nbfm", "mod_index": "am", "mod_freq": "am", "snr_band": "snr",
+              "tres": "waterfall", "band": "suppression", "before": "suppression",
+              "after": "suppression", "input": "spectrum waterfall"}
+
+
+def _check_mode_flags(command: argparse.ArgumentParser, args) -> None:
+    spelled = {a.dest: a.option_strings[0] for a in command._actions if a.dest in vars(args)}
+    is_set = {d for d in spelled if getattr(args, d) != command.get_default(d)}
+    mode = [spelled[d] for d in ("tone", "nbfm", "am", "spectrum", "waterfall", "suppression")
+            if d in is_set]  # empty for cancel, which has no modes
+    for dest, readers in MODE_FLAGS.items():
+        if mode and dest in is_set and is_set.isdisjoint(readers.split()):
+            needs = " or ".join(spelled[r] for r in readers.split())
+            raise ValueError(f"{spelled[dest]} does not apply to {mode[0]} (it needs {needs})")
+
+
 def _parse_mod_tones(values) -> tuple:
     tones = []
     for v in values:
@@ -267,8 +287,10 @@ def cmd_analyze(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     handlers = {"generate": cmd_generate, "cancel": cmd_cancel, "analyze": cmd_analyze}
     try:
+        _check_mode_flags(subcommands.choices[args.command], args)
         return handlers[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,13 +14,16 @@ noise.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import blockproc
 from .iq import SampleStream
 
 TRUTH_CSV_HEADER = "sample_index,f_inst_hz,amplitude"
+_CHUNK = 2**16  # samples per pool job, a power of two: only the last ends inside a SIMD vector
 
 
 @dataclass(frozen=True)
@@ -42,9 +45,11 @@ class TruthRecord:
         a = np.asarray(self.amplitude, dtype=np.float64)
         if f.shape != a.shape:
             raise ValueError("f_inst_hz and amplitude must have equal length")
+        if f.size and not np.isfinite([f.min(), f.max(), a.min(), a.max()]).all():
+            raise ValueError("f_inst_hz and amplitude must be finite")  # a NaN makes min, max NaN
         if a.size and a.min() < 0:
             raise ValueError("amplitude must be nonnegative")
-        if f.size and np.max(np.abs(f)) >= self.sample_rate_hz / 2:
+        if f.size and not -self.sample_rate_hz / 2 < f.min() <= f.max() < self.sample_rate_hz / 2:
             raise ValueError("instantaneous frequency exceeds Nyquist")
         f.flags.writeable = False
         a.flags.writeable = False
@@ -105,6 +110,13 @@ class NbfmSpec:
         return (self.carrier_offset_hz - half, self.carrier_offset_hz + half)
 
 
+def _on_pool(n: int, job) -> None:
+    """Run job(lo, hi) over [0, n) in _CHUNK-sample pieces on the worker pool."""
+    starts = range(0, n, _CHUNK)
+    with ThreadPoolExecutor(blockproc.worker_count(len(starts))) as pool:
+        list(pool.map(lambda lo: job(lo, min(lo + _CHUNK, n)), starts))
+
+
 def waveform_from_truth(truth: TruthRecord) -> np.ndarray:
     """Integrate a TruthRecord into complex samples.
 
@@ -114,13 +126,22 @@ def waveform_from_truth(truth: TruthRecord) -> np.ndarray:
     """
     f = truth.f_inst_hz
     n = f.size
-    if n == 0:
-        return np.zeros(0, dtype=np.complex128)
-    f_ref = float(np.mean(f))
-    resid = np.concatenate(([0.0], np.cumsum(f[1:] - f_ref)))
-    k = np.arange(n, dtype=np.float64)
-    phase = truth.psi0_rad + (2.0 * np.pi / truth.sample_rate_hz) * (f_ref * k + resid)
-    return truth.amplitude * np.exp(1j * phase)
+    out = np.zeros(n, dtype=np.complex128)
+    f_ref = float(np.mean(f)) if n else 0.0
+    phase = out.imag  # the real parts stay zero, so exp(out) is exp(1j * phase)
+    np.cumsum(np.subtract(f[1:], f_ref, out=phase[1:]), out=phase[1:])
+    step = 2.0 * np.pi / truth.sample_rate_hz
+
+    def finish(lo, hi):  # phase = psi0 + step * (f_ref * k + resid), in this order
+        arg = np.arange(lo, hi, dtype=np.float64) * f_ref
+        arg += phase[lo:hi]
+        arg *= step
+        np.add(arg, truth.psi0_rad, out=phase[lo:hi])
+        np.exp(out[lo:hi], out=out[lo:hi])
+        np.multiply(truth.amplitude[lo:hi], out[lo:hi], out=out[lo:hi])
+
+    _on_pool(n, finish)
+    return out
 
 
 def _check_nyquist(f_hz: float, sample_rate_hz: float, what: str = "frequency"):
@@ -145,11 +166,23 @@ def gen_tone(
     return SampleStream(waveform_from_truth(truth), sample_rate_hz), truth
 
 
-def _lowpass(x: np.ndarray, cutoff_hz: float, sample_rate_hz: float) -> np.ndarray:
+def _lowpass(x: np.ndarray, stop: int) -> np.ndarray:
     spectrum = np.fft.rfft(x)
-    freqs = np.fft.rfftfreq(x.size, d=1.0 / sample_rate_hz)
-    spectrum[freqs > cutoff_hz] = 0.0
+    spectrum[stop:] = 0.0
     return np.fft.irfft(spectrum, x.size)
+
+
+def _tone_sum(n: int, tones, sample_rate_hz: float) -> np.ndarray:
+    """0 + the sum of a * cos(2*pi*f*k/Fs) over the (f, a) in tones, for k in [0, n)."""
+    total = np.zeros(n)
+
+    def add(lo, hi):
+        t = np.arange(lo, hi, dtype=np.float64) / sample_rate_hz
+        for f_mod, a_mod in tones:
+            total[lo:hi] += a_mod * np.cos(2.0 * np.pi * f_mod * t)
+
+    _on_pool(n if tones else 0, add)
+    return total
 
 
 def _bandlimited_noise(
@@ -164,17 +197,19 @@ def _bandlimited_noise(
     With rms_target None the waveform is simply peak-normalized.  Otherwise
     it is driven to the target RMS by iterated clip-and-filter (voice-like
     amplitude compression), which raises the modulation duty while keeping
-    the spectrum confined below the cutoff.
+    the spectrum confined below the cutoff.  A constant (only the DC bin
+    passes: n < about Fs/cutoff) has no RMS to drive: it is peak-normalized.
     """
+    stop = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz).searchsorted(cutoff_hz, "right")
     rng = np.random.default_rng(seed)
-    m = _lowpass(rng.standard_normal(n), cutoff_hz, sample_rate_hz)
-    if rms_target is None:
+    m = _lowpass(rng.standard_normal(n), stop)
+    if rms_target is None or stop == 1:
         peak = np.max(np.abs(m))
         return m / peak if peak > 0 else m
     for _ in range(5):
         m *= rms_target / np.std(m)
-        m = _lowpass(np.clip(m, -1.0, 1.0), cutoff_hz, sample_rate_hz)
-    return np.clip(m, -1.0, 1.0)
+        m = _lowpass(np.clip(m, -1.0, 1.0, out=m), stop)
+    return np.clip(m, -1.0, 1.0, out=m)
 
 
 def gen_nbfm(spec: NbfmSpec, sample_rate_hz: float) -> tuple[SampleStream, TruthRecord]:
@@ -186,23 +221,15 @@ def gen_nbfm(spec: NbfmSpec, sample_rate_hz: float) -> tuple[SampleStream, Truth
     for edge in spec.carson_band_hz():
         _check_nyquist(edge, sample_rate_hz, "Carson band edge")
     n = int(round(spec.duration_s * sample_rate_hz))
-    if spec.mod_tones:
-        t = np.arange(n) / sample_rate_hz
-        m = np.zeros(n)
-        for f_mod, a_mod in spec.mod_tones:
-            m += a_mod * np.cos(2.0 * np.pi * f_mod * t)
-    elif spec.mod_noise_bw_hz is not None:
+    if spec.mod_noise_bw_hz is not None and n:  # the FFT needs one sample
         m = _bandlimited_noise(
             n, spec.mod_noise_bw_hz, sample_rate_hz, spec.mod_noise_seed, spec.mod_noise_rms
         )
     else:
-        m = np.zeros(n)
-    truth = TruthRecord(
-        spec.carrier_offset_hz + spec.deviation_hz * m,
-        np.full(n, float(spec.amp)),
-        0.0,
-        sample_rate_hz,
-    )
+        m = _tone_sum(n, spec.mod_tones, sample_rate_hz)
+    m *= spec.deviation_hz
+    m += spec.carrier_offset_hz
+    truth = TruthRecord(m, np.full(n, float(spec.amp)), 0.0, sample_rate_hz)
     return SampleStream(waveform_from_truth(truth), sample_rate_hz), truth
 
 
@@ -222,8 +249,9 @@ def gen_am(
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_nyquist(abs(carrier_offset_hz) + mod_freq_hz, sample_rate_hz, "AM sideband")
-    t = np.arange(n) / sample_rate_hz
-    envelope = a0 * (1.0 + mod_index * np.cos(2.0 * np.pi * mod_freq_hz * t))
+    envelope = _tone_sum(n, ((mod_freq_hz, mod_index),), sample_rate_hz)
+    envelope += 1.0
+    envelope *= a0
     truth = TruthRecord(np.full(n, carrier_offset_hz), envelope, 0.0, sample_rate_hz)
     return SampleStream(waveform_from_truth(truth), sample_rate_hz), truth
 
@@ -233,12 +261,13 @@ def mix(streams: list[SampleStream]) -> SampleStream:
     if not streams:
         raise ValueError("mix requires at least one stream")
     first = streams[0]
-    for s in streams[1:]:
+    total = np.zeros(len(first), dtype=np.complex128)  # from zero, as np.sum: -0.0 sums to 0.0
+    for s in streams:
         if len(s) != len(first):
             raise ValueError("mix: stream lengths differ")
         if s.sample_rate_hz != first.sample_rate_hz:
             raise ValueError("mix: sample rates differ")
-    total = np.sum([s.samples for s in streams], axis=0)
+        total += s.samples
     return SampleStream(total, first.sample_rate_hz)
 
 
@@ -272,8 +301,11 @@ def add_awgn(
         raise ValueError(f"snr_db {snr_db} gives a noise variance that is not positive and finite")
     rng = np.random.default_rng(rng_seed)
     scale = math.sqrt(noise_var / 2.0)
-    noise = scale * (rng.standard_normal(len(stream)) + 1j * rng.standard_normal(len(stream)))
-    return SampleStream(stream.samples + noise, stream.sample_rate_hz)
+    noisy = np.array(stream.samples)
+    for part in (noisy.real, noisy.imag):  # every real part's draw comes first
+        for lo in range(0, len(stream), _CHUNK):
+            part[lo : lo + _CHUNK] += scale * rng.standard_normal(min(_CHUNK, len(stream) - lo))
+    return SampleStream(noisy, stream.sample_rate_hz)
 
 
 def write_truth_csv(truth: TruthRecord, path) -> None:

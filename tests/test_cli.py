@@ -680,10 +680,40 @@ class TestParameterErrors:
                                                             message):
         missing, out = str(tmp_path / "missing.iq"), tmp_path / "out"
         files = {"cancel": ["--in", missing, "--out-residual", str(out)],
-                 "analyze": ["--in", missing, "--before", missing, "--after", missing,
-                             "--out", str(out)]}
-        self.expect_error(capsys, [argv[0], "--rate", RATE, *files[argv[0]], *argv[1:]],
+                 "--suppression": ["--before", missing, "--after", missing, "--out", str(out)],
+                 "--spectrum": ["--in", missing, "--out", str(out)]}
+        mode = argv[0] if argv[0] == "cancel" else argv[1]
+        self.expect_error(capsys, [argv[0], "--rate", RATE, *files[mode], *argv[1:]],
                           message, [out])
+
+    # one case per row of cli.MODE_FLAGS, each flag set away from its default in a mode that
+    # does not read it; SRC stands for an existing capture
+    @pytest.mark.parametrize("argv,flag,mode", [
+        (["generate", "--am", "--n", "64", "--psi", "1.0"], "--psi", "--am"),
+        (["generate", "--am", "--n", "64", "--dev", "9999", "--mod-tone", "300"], "--dev", "--am"),
+        (["generate", "--tone", "--n", "64", "--mod-tone", "300"], "--mod-tone", "--tone"),
+        (["generate", "--tone", "--n", "64", "--mod-noise-bw", "1000", "--mod-noise-rms", "0.5"],
+         "--mod-noise-bw", "--tone"),
+        (["generate", "--nbfm", "--n", "64", "--mod-index", "0.9"], "--mod-index", "--nbfm"),
+        (["generate", "--tone", "--n", "64", "--mod-freq", "300"], "--mod-freq", "--tone"),
+        (["generate", "--nbfm", "--n", "64", "--snr-band", "-5000", "5000"], "--snr-band",
+         "--nbfm"),
+        (["analyze", "--spectrum", "--in", "SRC", "--tres", "5"], "--tres", "--spectrum"),
+        (["analyze", "--waterfall", "--in", "SRC", "--band", "1", "2"], "--band", "--waterfall"),
+        (["analyze", "--spectrum", "--in", "SRC", "--before", "SRC"], "--before", "--spectrum"),
+        (["analyze", "--suppression", "--before", "SRC", "--after", "SRC", "--band", "-5000",
+          "5000", "--in", "SRC"], "--in", "--suppression"),
+    ])
+    def test_a_flag_its_mode_does_not_read_is_rejected(self, tmp_path, capsys, argv, flag,
+                                                       mode):
+        src, out = str(self.tone_file(tmp_path)), tmp_path / "out"
+        argv = [src if a == "SRC" else a for a in argv]
+        self.expect_error(capsys, [*argv, "--rate", RATE, "--out", str(out)],
+                          f"{flag} does not apply to {mode}", [out, tmp_path / "out.truth.csv"])
+
+    def test_a_flag_at_its_default_is_accepted_in_any_mode(self, tmp_path):
+        assert run(["generate", "--am", "--psi", "0.0", "--dev", "4000", "--n", "64",
+                    "--rate", RATE, "--out", str(tmp_path / "x.iq")]) == 0
 
     @pytest.mark.parametrize("flags,message", [
         (["--mod-noise-bw", "nan"], "mod_noise_bw_hz must be positive"),

@@ -1,4 +1,5 @@
-"""Traced peak memory of the estimator, the report, the IQ writer and `stsa cancel`.
+"""Traced peak memory of the generators, the estimator, the report, the IQ writer
+and `stsa cancel`.
 
 The input is built before tracing starts, so each peak counts only what
 the call itself allocates.  The bounds are multiples of one complex128 copy
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stsa import blockproc
+from stsa import blockproc, siggen
 from stsa.blockproc import StsaConfig, process_stream
 from stsa.cli import main
 from stsa.iq import IqFormat, SampleStream, write_iq
@@ -96,3 +97,29 @@ def test_cancel_peak_holds_at_any_worker_count(tmp_path, monkeypatch, workers):
     samples = 2**20
     peak = cancel_with_estimate_peak(tmp_path, samples)
     assert peak < 3 * samples * np.dtype(np.complex128).itemsize
+
+
+GEN_SAMPLES = 2**20
+GEN_COPY = GEN_SAMPLES * np.dtype(np.complex128).itemsize
+FM_SPEC = siggen.NbfmSpec(0.0, 4000.0, GEN_SAMPLES / RATE, mod_noise_bw_hz=1000.0,
+                          mod_noise_seed=7, mod_noise_rms=0.9)
+
+
+@pytest.fixture(scope="module")
+def tone():
+    return siggen.gen_tone(1.0, 1000.0, 0.5, GEN_SAMPLES, RATE)[0]
+
+
+@pytest.mark.parametrize("build,copies", [
+    # a generator returns two copies, the stream and the truth's two float64 columns, and
+    # builds them in place with chunk-sized temporaries
+    (lambda _: siggen.gen_tone(1.0, 1000.0, 0.5, GEN_SAMPLES, RATE), 2.75),
+    (lambda _: siggen.gen_am(10000.0, 1.0, 0.5, 50.0, GEN_SAMPLES, RATE), 2.75),
+    # the clip-and-filter loop adds half-copy waveforms and spectra
+    (lambda _: siggen.gen_nbfm(FM_SPEC, RATE), 3.25),
+    # one copy out: no complex noise array, no stack of the mixed streams
+    (lambda stream: siggen.add_awgn(stream, 30.0, (-5000.0, 5000.0), 1), 1.6),
+    (lambda stream: siggen.mix([stream] * 3), 1.25),
+], ids=["gen_tone", "gen_am", "gen_nbfm_rms_noise", "add_awgn", "mix_of_three"])
+def test_generator_peaks_near_its_output(tone, build, copies):
+    assert traced_peak(lambda: build(tone)) < copies * GEN_COPY

@@ -4,6 +4,8 @@ Spectral checks here use their own plain-FFT integration rather than
 stsa.metrics, so the oracle stays independent of the measured code.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,22 @@ class TestNbfm:
         with pytest.raises(ValueError, match="sum"):
             NbfmSpec(carrier_offset_hz=0.0, deviation_hz=100.0, duration_s=0.1,
                      mod_tones=((100.0, 0.7), (200.0, 0.7)))
+
+    @pytest.mark.parametrize("rms", [None, 0.5])
+    def test_noise_modulation_on_an_empty_capture(self, rms):
+        spec = NbfmSpec(carrier_offset_hz=0.0, deviation_hz=4000.0, duration_s=1e-7,
+                        mod_noise_bw_hz=1000.0, mod_noise_rms=rms)
+        stream, truth = gen_nbfm(spec, RATE)
+        assert len(stream) == truth.f_inst_hz.size == truth.amplitude.size == 0
+
+    def test_noise_rms_on_a_capture_that_passes_only_dc(self):
+        # 1,000 samples at 2.048 MHz resolve 2,048 Hz: a 1 kHz cutoff keeps only the DC bin,
+        # whose constant has no RMS to drive, so it is peak-normalized (no zero division)
+        plain = NbfmSpec(carrier_offset_hz=0.0, deviation_hz=4000.0, duration_s=1000 / RATE,
+                         mod_noise_bw_hz=1000.0)
+        stream, truth = gen_nbfm(dataclasses.replace(plain, mod_noise_rms=0.5), RATE)
+        assert np.all(np.abs(truth.f_inst_hz) == 4000.0)
+        assert stream.samples.tobytes() == gen_nbfm(plain, RATE)[0].samples.tobytes()
 
     def test_carson_band(self):
         spec = NbfmSpec(carrier_offset_hz=25000.0, deviation_hz=4000.0,
@@ -312,6 +330,15 @@ class TestInputChecks:
         ([0.0, 0.0], [1.0], "f_inst_hz and amplitude must have equal length"),
         ([0.0], [-0.5], "amplitude must be nonnegative"),
         ([RATE / 2], [1.0], "instantaneous frequency exceeds Nyquist"),
+        ([-RATE / 2], [1.0], "instantaneous frequency exceeds Nyquist"),
+        # NaN fails no comparison with a bound, and inf would be read as a Nyquist violation
+        ([np.nan], [np.nan], "f_inst_hz and amplitude must be finite"),
+        ([0.0, np.nan], [1.0, 1.0], "f_inst_hz and amplitude must be finite"),
+        ([0.0, 0.0], [np.nan, 1.0], "f_inst_hz and amplitude must be finite"),
+        ([np.inf], [1.0], "f_inst_hz and amplitude must be finite"),
+        ([-np.inf], [1.0], "f_inst_hz and amplitude must be finite"),
+        ([0.0], [np.inf], "f_inst_hz and amplitude must be finite"),
+        ([0.0], [-np.inf], "f_inst_hz and amplitude must be finite"),
     ])
     def test_truth_record(self, f_inst, amplitude, message):
         with pytest.raises(ValueError, match=message):

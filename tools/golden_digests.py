@@ -1,4 +1,4 @@
-"""Print one sha256 per output file of `stsa cancel` on the benchmark workloads.
+"""Print one sha256 per capture and per output file of `stsa cancel` on the benchmark workloads.
 
 Run from the repository root:
 
@@ -6,8 +6,9 @@ Run from the repository root:
 
 Each workload's seed-0 capture is built once, checked and cancelled the way
 perfbench/run.py does it, with the stsa in src/.  The digests cover the
-residual, the estimate, the track CSV and the report.  Running this at two
-commits and diffing the printouts is the golden-output check.  The benchmark
+capture itself (`<workload> input`), so a generator change shows directly,
+and the residual, the estimate, the track CSV and the report.  Running this
+at two commits and diffing the printouts is the golden-output check.  The benchmark
 builds each capture several times and requires equal bytes; diffing two runs
 of this script checks the same across processes.
 """
@@ -31,6 +32,7 @@ def main() -> None:
             tmp = Path(tmp)
             capture = tmp / "input.iq"
             run.build_input(stsa, workload, 0, capture, 1)
+            print(name, "input", gate.file_digest([capture]))
             argv = [sys.executable, "-c", run.CLI_ENTRY, *run.cancel_argv(workload, capture, tmp)]
             code = run.run_child(argv, tmp)[1]
             if code != 0:
