@@ -32,37 +32,39 @@ def build_parser() -> argparse.ArgumentParser:
     stream_flags.add_argument("--format", choices=[f.value for f in IqFormat],
                               default=IqFormat.FLOAT32.value, help="IQ file sample encoding")
 
-    g = sub.add_parser(
-        "generate", parents=[stream_flags], formatter_class=raw,
-        help="synthesize an IQ file with a truth sidecar",
-        epilog=f"Truth sidecar CSV columns:\n  {siggen.TRUTH_CSV_HEADER}",
-    )
-    kind = g.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--tone", action="store_true", help="stationary complex tone")
-    kind.add_argument("--nbfm", action="store_true", help="narrowband FM carrier")
-    kind.add_argument("--am", action="store_true", help="AM carrier")
-    size = g.add_mutually_exclusive_group(required=True)
+    # generate and analyze take a mode word, then the flags of that mode's own parser: those of
+    # the subcommand's parent parser and the mode's, so another mode's flag is a usage error
+    capture = argparse.ArgumentParser(add_help=False, parents=[stream_flags])
+    size = capture.add_mutually_exclusive_group(required=True)
     size.add_argument("--n", type=int, help="number of samples")
     size.add_argument("--dur", type=float, help="duration in seconds")
-    g.add_argument("--freq", type=float, default=0.0, help="carrier offset in Hz")
-    g.add_argument("--amp", type=float, default=1.0, help="carrier amplitude")
-    g.add_argument("--psi", type=float, default=0.0, help="tone start phase in radians")
-    g.add_argument("--dev", type=float, default=4000.0, help="NBFM peak deviation in Hz")
-    g.add_argument("--mod-tone", action="append", metavar="FREQ[:AMP]",
-                   help="NBFM modulating tone; repeat for a multi-tone sum")
-    g.add_argument("--mod-noise-bw", type=float,
-                   help="NBFM band-limited-noise modulation bandwidth in Hz")
-    g.add_argument("--mod-noise-rms", type=float,
-                   help="drive the noise modulation to this RMS (voice-like compression)")
-    g.add_argument("--mod-index", type=float, default=0.5, help="AM modulation index")
-    g.add_argument("--mod-freq", type=float, default=1000.0, help="AM modulating frequency")
-    g.add_argument("--snr", type=float, default=math.inf,
-                   help="in-band SNR of added white noise in dB (default: no noise)")
-    g.add_argument("--snr-band", type=float, nargs=2, metavar=("LO", "HI"),
-                   help="band the SNR is defined over (default: NBFM Carson band)")
-    g.add_argument("--seed", type=int, default=0, help="RNG seed (modulation uses seed, noise seed+1)")
-    g.add_argument("--out", required=True, help="output IQ path")
-    g.add_argument("--truth", help="truth sidecar CSV path (default: <out>.truth.csv)")
+    capture.add_argument("--freq", type=float, default=0.0, help="carrier offset in Hz")
+    capture.add_argument("--amp", type=float, default=1.0, help="carrier amplitude")
+    capture.add_argument("--snr", type=float, default=math.inf,
+                         help="in-band SNR of added white noise in dB (default: no noise)")
+    capture.add_argument("--snr-band", type=float, nargs=2, metavar=("LO", "HI"),
+                         help="band the SNR is defined over (default: NBFM Carson band)")
+    capture.add_argument("--seed", type=int, default=0,
+                         help="RNG seed (modulation uses seed, noise seed+1)")
+    capture.add_argument("--out", required=True, help="output IQ path")
+    capture.add_argument("--truth", help="truth sidecar CSV path (default: <out>.truth.csv)")
+    g = sub.add_parser(
+        "generate", formatter_class=raw, help="synthesize an IQ file with a truth sidecar",
+        epilog=f"Truth sidecar CSV columns:\n  {siggen.TRUTH_CSV_HEADER}",
+    ).add_subparsers(dest="mode", required=True)
+    g.add_parser("tone", parents=[capture], help="stationary complex tone").add_argument(
+        "--psi", type=float, default=0.0, help="tone start phase in radians")
+    nbfm = g.add_parser("nbfm", parents=[capture], help="narrowband FM carrier")
+    nbfm.add_argument("--dev", type=float, default=4000.0, help="peak deviation in Hz")
+    nbfm.add_argument("--mod-tone", action="append", metavar="FREQ[:AMP]",
+                      help="modulating tone; repeat for a multi-tone sum")
+    nbfm.add_argument("--mod-noise-bw", type=float,
+                      help="band-limited-noise modulation bandwidth in Hz")
+    nbfm.add_argument("--mod-noise-rms", type=float,
+                      help="drive the noise modulation to this RMS (voice-like compression)")
+    am = g.add_parser("am", parents=[capture], help="AM carrier")
+    am.add_argument("--mod-index", type=float, default=0.5, help="modulation index")
+    am.add_argument("--mod-freq", type=float, default=1000.0, help="modulating frequency in Hz")
 
     c = sub.add_parser(
         "cancel", parents=[stream_flags], formatter_class=raw,
@@ -101,46 +103,27 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--report", help="suppression report CSV path")
 
     a = sub.add_parser(
-        "analyze", parents=[stream_flags], formatter_class=raw,
-        help="spectra, waterfalls, and suppression reports",
+        "analyze", formatter_class=raw, help="spectra, waterfalls, and suppression reports",
         epilog=f"Spectrum CSV columns (power is a density):\n  {metrics.SPECTRUM_CSV_HEADER}\n"
                "Waterfall CSV: time_s and the frequencies, then one row per time cell.\n"
                f"Report CSV columns:\n  {metrics.REPORT_CSV_HEADER}",
-    )
-    what = a.add_mutually_exclusive_group(required=True)
-    what.add_argument("--spectrum", action="store_true", help="averaged power spectrum CSV")
-    what.add_argument("--waterfall", action="store_true", help="dynamic spectrum CSV")
-    what.add_argument("--suppression", action="store_true", help="before/after band report")
-    a.add_argument("--in", dest="input", help="input IQ path (spectrum/waterfall)")
-    a.add_argument("--before", help="pre-cancellation IQ path (suppression)")
-    a.add_argument("--after", help="post-cancellation IQ path (suppression)")
-    a.add_argument("--res", type=float, default=metrics.DEFAULT_RESOLUTION_HZ,
-                   help="frequency resolution in Hz")
-    a.add_argument("--tres", type=float, default=0.008, help="waterfall time resolution in s")
-    a.add_argument("--band", type=float, nargs=2, metavar=("LO", "HI"),
-                   help="signal band for the suppression report")
-    a.add_argument("--out", help="output CSV path")
+    ).add_subparsers(dest="mode", required=True)
+    spectral = argparse.ArgumentParser(add_help=False, parents=[stream_flags])
+    spectral.add_argument("--res", type=float, default=metrics.DEFAULT_RESOLUTION_HZ,
+                          help="frequency resolution in Hz")
+    one_file = argparse.ArgumentParser(add_help=False, parents=[spectral])
+    one_file.add_argument("--in", dest="input", required=True, help="input IQ path")
+    one_file.add_argument("--out", required=True, help="output CSV path")
+    a.add_parser("spectrum", parents=[one_file], help="averaged power spectrum CSV")
+    a.add_parser("waterfall", parents=[one_file], help="dynamic spectrum CSV").add_argument(
+        "--tres", type=float, default=0.008, help="time resolution in s")
+    s = a.add_parser("suppression", parents=[spectral], help="before/after band report")
+    s.add_argument("--before", required=True, help="pre-cancellation IQ path")
+    s.add_argument("--after", required=True, help="post-cancellation IQ path")
+    s.add_argument("--band", type=float, nargs=2, metavar=("LO", "HI"), required=True,
+                   help="signal band for the report")
+    s.add_argument("--out", help="report CSV path")
     return parser
-
-
-# Flags (by dest) that only some modes read -> those modes (for --snr-band, the flag --snr).
-# Set away from its default in a run of another mode, such a flag would be ignored: it is a
-# parameter error.
-MODE_FLAGS = {"psi": "tone", "dev": "nbfm", "mod_tone": "nbfm", "mod_noise_bw": "nbfm",
-              "mod_noise_rms": "nbfm", "mod_index": "am", "mod_freq": "am", "snr_band": "snr",
-              "tres": "waterfall", "band": "suppression", "before": "suppression",
-              "after": "suppression", "input": "spectrum waterfall"}
-
-
-def _check_mode_flags(command: argparse.ArgumentParser, args) -> None:
-    spelled = {a.dest: a.option_strings[0] for a in command._actions if a.dest in vars(args)}
-    is_set = {d for d in spelled if getattr(args, d) != command.get_default(d)}
-    mode = [spelled[d] for d in ("tone", "nbfm", "am", "spectrum", "waterfall", "suppression")
-            if d in is_set]  # empty for cancel, which has no modes
-    for dest, readers in MODE_FLAGS.items():
-        if mode and dest in is_set and is_set.isdisjoint(readers.split()):
-            needs = " or ".join(spelled[r] for r in readers.split())
-            raise ValueError(f"{spelled[dest]} does not apply to {mode[0]} (it needs {needs})")
 
 
 def _parse_mod_tones(values) -> tuple:
@@ -187,9 +170,11 @@ def cmd_generate(args) -> int:
     fmt = IqFormat(args.format)
     n = _sample_count(args)
     snr_band = tuple(args.snr_band) if args.snr_band else None
-    if args.tone:
+    if snr_band and args.snr == math.inf:
+        raise ValueError("--snr-band needs --snr")
+    if args.mode == "tone":
         stream, truth = siggen.gen_tone(args.amp, args.freq, args.psi, n, args.rate)
-    elif args.am:
+    elif args.mode == "am":
         stream, truth = siggen.gen_am(
             args.freq, args.amp, args.mod_index, args.mod_freq, n, args.rate
         )
@@ -254,12 +239,11 @@ def cmd_cancel(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _check_distinct_outputs(args.out, inputs=[args.input, args.before, args.after])
+    inputs = [args.before, args.after] if args.mode == "suppression" else [args.input]
+    _check_distinct_outputs(args.out, inputs=inputs)
     fmt = IqFormat(args.format)
     empty = iq.SampleStream([], args.rate)  # checks --rate and --band before any input is read
-    if args.suppression:
-        if not args.before or not args.after or not args.band:
-            raise ValueError("--suppression needs --before, --after, and --band")
+    if args.mode == "suppression":
         band = empty.check_band(args.band)
         before = iq.read_iq(args.before, fmt, args.rate)
         after = iq.read_iq(args.after, fmt, args.rate)
@@ -268,12 +252,8 @@ def cmd_analyze(args) -> int:
         if args.out:
             metrics.write_report_csv(report, args.out)
         return 0
-    if not args.input:
-        raise ValueError("--in is required for --spectrum/--waterfall")
-    if not args.out:
-        raise ValueError(f"--{'spectrum' if args.spectrum else 'waterfall'} needs --out")
     stream = iq.read_iq(args.input, fmt, args.rate)
-    if args.spectrum:
+    if args.mode == "spectrum":
         frame = metrics.power_spectrum(stream, args.res)
         metrics.write_spectrum_csv(frame, args.out)
         print(f"wrote {frame.freqs_hz.size}-bin spectrum to {args.out}")
@@ -285,12 +265,9 @@ def cmd_analyze(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    args = build_parser().parse_args(argv)
     handlers = {"generate": cmd_generate, "cancel": cmd_cancel, "analyze": cmd_analyze}
     try:
-        _check_mode_flags(subcommands.choices[args.command], args)
         return handlers[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

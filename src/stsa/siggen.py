@@ -207,7 +207,9 @@ def _bandlimited_noise(
         peak = np.max(np.abs(m))
         return m / peak if peak > 0 else m
     for _ in range(5):
-        m *= rms_target / np.std(m)
+        if not (spread := np.std(m)):  # a clip saturated every sample: a constant is left
+            break
+        m *= rms_target / spread
         m = _lowpass(np.clip(m, -1.0, 1.0, out=m), stop)
     return np.clip(m, -1.0, 1.0, out=m)
 

@@ -1,11 +1,12 @@
 """End-to-end CLI tests: generate, cancel, analyze, exit codes, determinism."""
 
+import argparse
 import dataclasses
 
 import numpy as np
 import pytest
 
-from stsa import metrics, pipeline, run_cancel, siggen, synthesis
+from stsa import cli, metrics, pipeline, run_cancel, siggen, synthesis
 from stsa.blockproc import StsaConfig
 from stsa.cli import build_parser, entry, main
 from stsa.iq import IqFormat, SampleStream, encode_iq, read_iq, write_iq
@@ -108,7 +109,7 @@ class TestGenerate:
     def test_nbfm_one_second_sample_count(self, tmp_path):
         out = tmp_path / "nbfm.iq"
         code = run([
-            "generate", "--nbfm", "--rate", RATE, "--dev", "4000",
+            "generate", "nbfm", "--rate", RATE, "--dev", "4000",
             "--mod-tone", "1000", "--snr", "34", "--dur", "1", "--seed", "1",
             "--out", str(out),
         ])
@@ -119,7 +120,7 @@ class TestGenerate:
     def test_tone_dc(self, tmp_path):
         out = tmp_path / "dc.iq"
         code = run([
-            "generate", "--tone", "--freq", "0", "--amp", "1", "--n", "16",
+            "generate", "tone", "--freq", "0", "--amp", "1", "--n", "16",
             "--rate", RATE, "--out", str(out),
         ])
         assert code == 0
@@ -129,26 +130,26 @@ class TestGenerate:
 
     def test_missing_rate_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(["generate", "--tone", "--n", "16", "--out", str(tmp_path / "x.iq")])
+            run(["generate", "tone", "--n", "16", "--out", str(tmp_path / "x.iq")])
         assert exc.value.code == 2
 
     def test_missing_length_is_parameter_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(["generate", "--tone", "--rate", RATE, "--out", str(tmp_path / "x.iq")])
+            run(["generate", "tone", "--rate", RATE, "--out", str(tmp_path / "x.iq")])
         assert exc.value.code == 2
         assert "error" in capsys.readouterr().err
 
     def test_n_and_dur_together_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x.iq"
         with pytest.raises(SystemExit) as exc:
-            run(["generate", "--tone", "--rate", RATE, "--n", "16", "--dur", "1", "--out", str(out)])
+            run(["generate", "tone", "--rate", RATE, "--n", "16", "--dur", "1", "--out", str(out)])
         assert exc.value.code == 2
         assert "argument --dur: not allowed with argument --n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_snr_without_band_rejected_for_tone(self, tmp_path, capsys):
         code = run([
-            "generate", "--tone", "--freq", "1000", "--n", "4096", "--rate", RATE,
+            "generate", "tone", "--freq", "1000", "--n", "4096", "--rate", RATE,
             "--snr", "20", "--out", str(tmp_path / "x.iq"),
         ])
         assert code == 2
@@ -156,14 +157,14 @@ class TestGenerate:
     @pytest.mark.parametrize("snr", ["--snr=-inf", "--snr=nan"])
     def test_non_finite_snr_is_parameter_error(self, tmp_path, capsys, snr):
         out = tmp_path / "x.iq"
-        code = run(["generate", "--nbfm", "--rate", RATE, "--dur", "0.01", snr, "--out", str(out)])
+        code = run(["generate", "nbfm", "--rate", RATE, "--dur", "0.01", snr, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: snr_db must be finite")
         assert not out.exists()
 
     def test_float32_overflow_is_a_parameter_error(self, tmp_path, capsys):
         out = tmp_path / "big.iq"
-        assert run(["generate", "--tone", "--amp", "1e39", "--n", "64", "--rate", "1000",
+        assert run(["generate", "tone", "--amp", "1e39", "--n", "64", "--rate", "1000",
                     "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
             "error: sample components beyond ±3.4e38 overflow float32")
@@ -173,7 +174,7 @@ class TestGenerate:
     def test_int8_output(self, tmp_path):
         out = tmp_path / "i8.iq"
         code = run([
-            "generate", "--tone", "--freq", "100000", "--amp", "0.5", "--n", "1000",
+            "generate", "tone", "--freq", "100000", "--amp", "0.5", "--n", "1000",
             "--rate", RATE, "--format", "i8", "--out", str(out),
         ])
         assert code == 0
@@ -186,7 +187,7 @@ class TestCancel:
     def gen_tone_file(self, tmp_path, n=25600, freq="82000", amp="1.0"):
         path = tmp_path / "tone.iq"
         assert run([
-            "generate", "--tone", "--freq", freq, "--amp", amp, "--psi", "0.4",
+            "generate", "tone", "--freq", freq, "--amp", amp, "--psi", "0.4",
             "--n", str(n), "--rate", RATE, "--out", str(path),
         ]) == 0
         return path
@@ -241,7 +242,7 @@ class TestCancel:
         # NBFM input so the first pass leaves something for the second.
         src = tmp_path / "fm.iq"
         assert run([
-            "generate", "--nbfm", "--rate", RATE, "--dev", "4000",
+            "generate", "nbfm", "--rate", RATE, "--dev", "4000",
             "--mod-noise-bw", "1000", "--mod-noise-rms", "0.9", "--snr", "34",
             "--n", "65536", "--seed", "3", "--out", str(src),
         ]) == 0
@@ -325,7 +326,7 @@ class TestAnalyze:
         """A 1 s tone file the tests only read, generated once for the class."""
         path = tmp_path_factory.mktemp("analyze") / "sig.iq"
         assert run([
-            "generate", "--tone", "--freq", "100000", "--n", "2048000",
+            "generate", "tone", "--freq", "100000", "--n", "2048000",
             "--rate", RATE, "--out", str(path),
         ]) == 0
         return path
@@ -333,7 +334,7 @@ class TestAnalyze:
     def test_spectrum_bin_count(self, one_second_file, tmp_path):
         out = tmp_path / "spec.csv"
         code = run([
-            "analyze", "--spectrum", "--res", "125", "--in", str(one_second_file),
+            "analyze", "spectrum", "--res", "125", "--in", str(one_second_file),
             "--rate", RATE, "--out", str(out),
         ])
         assert code == 0
@@ -343,7 +344,7 @@ class TestAnalyze:
     def test_waterfall_row_count(self, one_second_file, tmp_path):
         out = tmp_path / "wf.csv"
         code = run([
-            "analyze", "--waterfall", "--tres", "0.008", "--res", "125",
+            "analyze", "waterfall", "--tres", "0.008", "--res", "125",
             "--in", str(one_second_file), "--rate", RATE, "--out", str(out),
         ])
         assert code == 0
@@ -353,13 +354,13 @@ class TestAnalyze:
     def test_freq_and_res_serve_every_mode(self, tmp_path):
         """--freq places an NBFM carrier and --res sets a waterfall's bins, as in other modes."""
         src, spec, wf = tmp_path / "fm.iq", tmp_path / "spec.csv", tmp_path / "wf.csv"
-        assert run(["generate", "--nbfm", "--freq", "50000", "--dev", "1000", "--mod-tone", "500",
+        assert run(["generate", "nbfm", "--freq", "50000", "--dev", "1000", "--mod-tone", "500",
                     "--rate", "200000", "--n", "20000", "--out", str(src)]) == 0
-        assert run(["analyze", "--spectrum", "--res", "1000", "--in", str(src),
+        assert run(["analyze", "spectrum", "--res", "1000", "--in", str(src),
                     "--rate", "200000", "--out", str(spec)]) == 0
         freqs, power = np.loadtxt(spec, delimiter=",", skiprows=1, unpack=True)
         assert abs(freqs[np.argmax(power)] - 50000.0) <= 1000.0
-        assert run(["analyze", "--waterfall", "--res", "5000", "--tres", "0.01", "--in", str(src),
+        assert run(["analyze", "waterfall", "--res", "5000", "--tres", "0.01", "--in", str(src),
                     "--rate", "200000", "--out", str(wf)]) == 0
         assert len(wf.read_text().splitlines()[0].split(",")) == 1 + 40  # time_s, then 40 bins
 
@@ -370,7 +371,7 @@ class TestAnalyze:
             "--out-residual", str(resid),
         ]) == 0
         code = run([
-            "analyze", "--suppression", "--band", "90000", "110000",
+            "analyze", "suppression", "--band", "90000", "110000",
             "--before", str(one_second_file), "--after", str(resid), "--rate", RATE,
         ])
         assert code == 0
@@ -380,25 +381,26 @@ class TestAnalyze:
     def test_infeasible_resolution_parameter_error(self, tmp_path, capsys):
         src = tmp_path / "short.iq"
         assert run([
-            "generate", "--tone", "--freq", "0", "--n", "65536", "--rate", RATE,
+            "generate", "tone", "--freq", "0", "--n", "65536", "--rate", RATE,
             "--out", str(src),
         ]) == 0
         code = run([
-            "analyze", "--waterfall", "--tres", "0.001", "--res", "125",
+            "analyze", "waterfall", "--tres", "0.001", "--res", "125",
             "--in", str(src), "--rate", RATE, "--out", str(tmp_path / "w.csv"),
         ])
         assert code == 2
 
-    def test_spectrum_without_out_rejected(self, tmp_path):
+    def test_spectrum_without_out_rejected(self, tmp_path, capsys):
         src = tmp_path / "short.iq"
         assert run([
-            "generate", "--tone", "--freq", "0", "--n", "16384", "--rate", RATE,
+            "generate", "tone", "--freq", "0", "--n", "16384", "--rate", RATE,
             "--out", str(src),
         ]) == 0
-        code = run([
-            "analyze", "--spectrum", "--res", "125", "--in", str(src), "--rate", RATE,
-        ])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", "spectrum", "--res", "125", "--in", str(src), "--rate", RATE])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["short.iq", "short.iq.truth.csv"]
 
 
 class TestLibraryOwnsSettings:
@@ -464,13 +466,21 @@ class TestLibraryOwnsSettings:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["generate", "--nbfm", "--offset", "2000", "--n", "64", "--out", "x.iq"],
-        ["analyze", "--waterfall", "--fres", "125", "--in", "x.iq", "--out", "w.csv"],
+        ["generate", "nbfm", "--offset", "2000", "--n", "64", "--out", "x.iq"],
+        ["analyze", "waterfall", "--fres", "125", "--in", "x.iq", "--out", "w.csv"],
         ["cancel", "--window", "tri", "--in", "x.iq", "--out-residual", "r.iq"],
         ["cancel", "--window", "rect", "--in", "x.iq", "--out-residual", "r.iq"],
-    ], ids=["offset", "fres", "window-tri", "window-rect"])
+        ["generate", "--tone", "--n", "64", "--out", "x.iq"],
+        ["generate", "--nbfm", "--n", "64", "--out", "x.iq"],
+        ["generate", "--am", "--n", "64", "--out", "x.iq"],
+        ["analyze", "--spectrum", "--in", "x.iq", "--out", "s.csv"],
+        ["analyze", "--waterfall", "--in", "x.iq", "--out", "w.csv"],
+        ["analyze", "--suppression", "--before", "x.iq", "--after", "x.iq", "--band", "1", "2"],
+    ], ids=["offset", "fres", "window-tri", "window-rect", "--tone", "--nbfm", "--am",
+            "--spectrum", "--waterfall", "--suppression"])
     def test_removed_spellings_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv):
-        """--freq and --res serve every mode, and --window takes the library's names."""
+        """--freq and --res serve every mode, --window takes the library's names, and a mode
+        is a word, not a flag."""
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             run([*argv, "--rate", RATE])
@@ -479,12 +489,76 @@ class TestLibraryOwnsSettings:
         assert not list(tmp_path.iterdir())
 
 
+def leaf_parsers(parser=None, words=()):
+    """(command words, parser) for cancel and each mode of generate and analyze."""
+    parser = parser or build_parser()
+    modes = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not modes:
+        return [(words, parser)]
+    return [leaf for word, sub in modes[0].choices.items()
+            for leaf in leaf_parsers(sub, (*words, word))]
+
+
+# a run per parser that takes each branch its handler has (--dur reads --n too); SRC stands for
+# a capture, OUT for a path in a fresh directory
+FULL_RUNS = {
+    ("generate", "tone"): ["--psi", "0.5"],
+    ("generate", "nbfm"): ["--dev", "1000", "--mod-noise-bw", "500", "--mod-noise-rms", "0.5"],
+    ("generate", "am"): ["--mod-index", "0.3", "--mod-freq", "500"],
+    ("cancel",): ["--in", "SRC", "--n", "128", "--window", "hamming", "--threshold-db", "12",
+                  "--grid-frac", "0.05", "--max-peel", "2", "--overlap", "half", "--passes", "2",
+                  "--strongest-only", "--jump-limit", "1", "--band", "90000", "110000",
+                  "--out-residual", "OUT", "--out-estimate", "OUT", "--out-tracks", "OUT",
+                  "--report", "OUT"],
+    ("analyze", "spectrum"): ["--in", "SRC", "--res", "250", "--out", "OUT"],
+    ("analyze", "waterfall"): ["--in", "SRC", "--res", "250", "--tres", "0.004", "--out", "OUT"],
+    ("analyze", "suppression"): ["--before", "SRC", "--after", "SRC", "--band", "90000",
+                                 "110000", "--res", "250", "--out", "OUT"],
+}
+CAPTURE_FLAGS = ["--freq", "100000", "--amp", "0.5", "--snr", "30", "--snr-band", "90000",
+                 "110000", "--seed", "4", "--dur", "0.01", "--out", "OUT", "--truth", "OUT"]
+
+
+@pytest.mark.parametrize("words", [words for words, _ in leaf_parsers()], ids=" ".join)
+def test_every_declared_flag_is_read(tmp_path, words):
+    """The inverse of "a flag of another mode exits 2": no parser declares a flag that its
+    handler never reads."""
+    src = tmp_path / "src.iq"
+    write_iq(siggen.gen_tone(1.0, 100000.0, 0.0, 16384, 2048000.0)[0], src, IqFormat.FLOAT32)
+    argv = [*words, "--rate", RATE, *(CAPTURE_FLAGS if words[0] == "generate" else []),
+            *FULL_RUNS[words]]
+    argv = [str(src) if a == "SRC" else str(tmp_path / f"out{i}") if a == "OUT" else a
+            for i, a in enumerate(argv)]
+    reads = set()
+
+    class RecordingNamespace(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = build_parser().parse_args(argv, namespace=RecordingNamespace())
+    reads.clear()
+    handler = {"generate": cli.cmd_generate, "cancel": cli.cmd_cancel,
+               "analyze": cli.cmd_analyze}[words[0]]
+    assert handler(args) == 0
+    declared = {a.dest for a in dict(leaf_parsers())[words]._actions
+                if not isinstance(a, argparse._HelpAction)}
+    assert declared - reads == set()
+
+
 class TestParameterErrors:
     """Each bad setting exits 2 with `error:` before any output file is written."""
 
     def expect_error(self, capsys, argv, message, outputs=()):
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not any(p.exists() for p in outputs)
+
+    def expect_usage_error(self, capsys, argv, message, outputs=()):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not any(p.exists() for p in outputs)
 
     @staticmethod
@@ -522,7 +596,7 @@ class TestParameterErrors:
         src = self.tone_file(tmp_path)
         out = tmp_path / "rep.csv"
         self.expect_error(capsys, [
-            "analyze", "--suppression", "--before", str(src), "--after", str(src),
+            "analyze", "suppression", "--before", str(src), "--after", str(src),
             "--band", *band, "--rate", RATE, "--out", str(out)], self.band_message(band), [out])
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "0"])
@@ -537,24 +611,24 @@ class TestParameterErrors:
                                         ["--dur", "1", "--rate", "inf"]])
     def test_generate_duration_must_give_a_sample_count(self, tmp_path, capsys, length):
         out = tmp_path / "x.iq"
-        self.expect_error(capsys, ["generate", "--tone", "--rate", RATE, *length,
+        self.expect_error(capsys, ["generate", "tone", "--rate", RATE, *length,
                                    "--out", str(out)], "--dur ", [out])
 
-    @pytest.mark.parametrize("kind", ["--am", "--tone"])
+    @pytest.mark.parametrize("kind", ["am", "tone"])
     def test_generate_negative_sample_count(self, tmp_path, capsys, kind):
         out = tmp_path / "x.iq"
         self.expect_error(capsys, ["generate", kind, "--rate", RATE, "--n", "-5",
                                    "--out", str(out)], "n must be nonnegative", [out])
 
     @pytest.mark.parametrize("what,flag,value,message", [
-        ("--spectrum", "--res", "1e-320", "resolution_hz 1e-320 is too fine"),
-        ("--waterfall", "--res", "1e-320", "resolution_hz 1e-320 is too fine"),
-        ("--waterfall", "--tres", "1e303", "t_res_s 1e+303 is too long"),
-        ("--waterfall", "--tres", "inf", "t_res_s must be positive and finite"),
-        ("--waterfall", "--tres", "nan", "t_res_s must be positive and finite"),
-        ("--waterfall", "--res", "nan", "resolution_hz must be positive and finite"),
-        ("--spectrum", "--res", "nan", "resolution_hz must be positive and finite"),
-        ("--spectrum", "--res", "inf", "resolution_hz must be positive and finite"),
+        ("spectrum", "--res", "1e-320", "resolution_hz 1e-320 is too fine"),
+        ("waterfall", "--res", "1e-320", "resolution_hz 1e-320 is too fine"),
+        ("waterfall", "--tres", "1e303", "t_res_s 1e+303 is too long"),
+        ("waterfall", "--tres", "inf", "t_res_s must be positive and finite"),
+        ("waterfall", "--tres", "nan", "t_res_s must be positive and finite"),
+        ("waterfall", "--res", "nan", "resolution_hz must be positive and finite"),
+        ("spectrum", "--res", "nan", "resolution_hz must be positive and finite"),
+        ("spectrum", "--res", "inf", "resolution_hz must be positive and finite"),
     ])
     def test_analyze_resolution_must_be_positive_and_finite(self, tmp_path, capsys, what, flag,
                                                             value, message):
@@ -563,30 +637,42 @@ class TestParameterErrors:
         self.expect_error(capsys, ["analyze", what, flag, value, "--in", str(src),
                                    "--rate", RATE, "--out", str(out)], message, [out])
 
-    @pytest.mark.parametrize("argv,message", [
-        (["--suppression", "--band", "1", "2"],
-         "--suppression needs --before, --after, and --band"),
-        (["--spectrum"], "--in is required for --spectrum/--waterfall"),
+    @pytest.mark.parametrize("argv,missing", [
+        (["suppression", "--band", "1", "2"], "--before, --after"),
+        (["suppression", "--before", "b.iq", "--after", "a.iq"], "--band"),
+        (["spectrum"], "--in, --out"),
     ])
-    def test_analyze_missing_inputs(self, capsys, argv, message):
-        self.expect_error(capsys, ["analyze", *argv, "--rate", RATE], message)
+    def test_analyze_missing_inputs(self, tmp_path, monkeypatch, capsys, argv, missing):
+        monkeypatch.chdir(tmp_path)
+        self.expect_usage_error(capsys, ["analyze", *argv, "--rate", RATE],
+                                f"the following arguments are required: {missing}")
+        assert not list(tmp_path.iterdir())
 
-    def test_entry_exits_with_the_code(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.argv", ["stsa", "analyze", "--spectrum", "--rate", RATE])
+    @pytest.mark.parametrize("argv,code,message", [
+        (["spectrum"], 2, "error: the following arguments are required: --in, --out"),
+        (["spectrum", "--in", "missing.iq", "--out", "s.csv"], 1, "i/o error: "),
+    ], ids=["usage", "io"])
+    def test_entry_exits_with_the_code(self, tmp_path, monkeypatch, capsys, argv, code, message):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.argv", ["stsa", "analyze", *argv, "--rate", RATE])
         with pytest.raises(SystemExit) as exc:
             entry()
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("error: --in is required")
+        assert exc.value.code == code
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_waterfall_without_out(self, tmp_path, capsys):
         src = self.tone_file(tmp_path)
-        self.expect_error(capsys, ["analyze", "--waterfall", "--in", str(src), "--rate", RATE],
-                          "--waterfall needs --out")
+        self.expect_usage_error(capsys, ["analyze", "waterfall", "--in", str(src), "--rate", RATE],
+                                "the following arguments are required: --out")
+        assert list(tmp_path.iterdir()) == [src]
 
-    @pytest.mark.parametrize("what", ["--spectrum", "--waterfall"])
+    @pytest.mark.parametrize("what", ["spectrum", "waterfall"])
     def test_analyze_out_checked_before_the_input_is_read(self, tmp_path, capsys, what):
-        self.expect_error(capsys, ["analyze", what, "--in", str(tmp_path / "missing.iq"),
-                                   "--rate", RATE], f"{what} needs --out")
+        self.expect_usage_error(capsys, ["analyze", what, "--in", str(tmp_path / "missing.iq"),
+                                         "--rate", RATE],
+                                "the following arguments are required: --out")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("setting,message", [
         ("--passes=0", "passes must be at least 1"), ("--passes=-1", "passes must be at least 1"),
@@ -606,7 +692,7 @@ class TestParameterErrors:
          "--band", "-5000", "5000", "--out-tracks", "t.csv", "--report", "t.csv"],
         ["cancel", "--in", "missing.iq", "--rate", RATE, "--out-residual", "./d/../r.iq",
          "--out-tracks", "{tmp}/r.iq"],
-        ["generate", "--tone", "--n", "64", "--rate", "1000", "--out", "x.iq", "--truth", "x.iq"],
+        ["generate", "tone", "--n", "64", "--rate", "1000", "--out", "x.iq", "--truth", "x.iq"],
     ], ids=["residual-estimate", "tracks-report", "relative-absolute", "generate-truth"])
     def test_two_outputs_that_name_one_file_are_rejected_before_the_input_is_read(
             self, tmp_path, monkeypatch, capsys, argv):
@@ -622,11 +708,11 @@ class TestParameterErrors:
         ["cancel", "--in", "tone.iq", "--out-residual", "r.iq", "--out-tracks", "{tmp}/tone.iq"],
         ["cancel", "--in", "tone.iq", "--out-residual", "r.iq", "--band", "90000", "110000",
          "--report", "./tone.iq"],
-        ["analyze", "--spectrum", "--in", "tone.iq", "--out", "tone.iq"],
-        ["analyze", "--waterfall", "--in", "tone.iq", "--out", "link.iq"],
-        ["analyze", "--suppression", "--before", "tone.iq", "--after", "r.iq",
+        ["analyze", "spectrum", "--in", "tone.iq", "--out", "tone.iq"],
+        ["analyze", "waterfall", "--in", "tone.iq", "--out", "link.iq"],
+        ["analyze", "suppression", "--before", "tone.iq", "--after", "r.iq",
          "--band", "90000", "110000", "--out", "tone.iq"],
-        ["analyze", "--suppression", "--before", "r.iq", "--after", "tone.iq",
+        ["analyze", "suppression", "--before", "r.iq", "--after", "tone.iq",
          "--band", "90000", "110000", "--out", "tone.iq"],
     ], ids=["cancel-residual", "cancel-residual-hard-link", "cancel-estimate-symlink",
             "cancel-tracks", "cancel-report", "spectrum", "waterfall-symlink",
@@ -661,7 +747,7 @@ class TestParameterErrors:
         src = self.tone_file(tmp_path, n=2560)
         assert run(["cancel", "--in", str(src), "--rate", RATE, "--out-residual", "/dev/null",
                     "--out-estimate", "/dev/null", "--out-tracks", "/dev/null"]) == 0
-        assert run(["generate", "--tone", "--n", "64", "--rate", "1000", "--out", "/dev/null",
+        assert run(["generate", "tone", "--n", "64", "--rate", "1000", "--out", "/dev/null",
                     "--truth", "/dev/null"]) == 0
         assert run(["cancel", "--in", "/dev/null", "--rate", RATE, "--out-residual",
                     "/dev/null"]) == 0
@@ -671,49 +757,52 @@ class TestParameterErrors:
         (["cancel", "--band", "5", "1"], "band (5.0, 1.0) is not increasing"),
         (["cancel", "--band", "0", "2e6"], "band (0.0, 2000000.0) is not increasing"),
         (["cancel", "--rate=nan"], "sample_rate_hz must be positive and finite"),
-        (["analyze", "--suppression", "--band", "5", "1"], "band (5.0, 1.0) is not increasing"),
-        (["analyze", "--suppression", "--band", "1", "5", "--rate=0"],
+        (["analyze", "suppression", "--band", "5", "1"], "band (5.0, 1.0) is not increasing"),
+        (["analyze", "suppression", "--band", "1", "5", "--rate=0"],
          "sample_rate_hz must be positive and finite"),
-        (["analyze", "--spectrum", "--rate=nan"], "sample_rate_hz must be positive and finite"),
+        (["analyze", "spectrum", "--rate=nan"], "sample_rate_hz must be positive and finite"),
     ])
     def test_rate_and_band_checked_before_the_input_is_read(self, tmp_path, capsys, argv,
                                                             message):
         missing, out = str(tmp_path / "missing.iq"), tmp_path / "out"
         files = {"cancel": ["--in", missing, "--out-residual", str(out)],
-                 "--suppression": ["--before", missing, "--after", missing, "--out", str(out)],
-                 "--spectrum": ["--in", missing, "--out", str(out)]}
-        mode = argv[0] if argv[0] == "cancel" else argv[1]
-        self.expect_error(capsys, [argv[0], "--rate", RATE, *files[mode], *argv[1:]],
-                          message, [out])
+                 "suppression": ["--before", missing, "--after", missing, "--out", str(out)],
+                 "spectrum": ["--in", missing, "--out", str(out)]}
+        words = argv[:1] if argv[0] == "cancel" else argv[:2]  # flags follow the mode word
+        self.expect_error(capsys, [*words, "--rate", RATE, *files[words[-1]],
+                                   *argv[len(words):]], message, [out])
 
-    # one case per row of cli.MODE_FLAGS, each flag set away from its default in a mode that
-    # does not read it; SRC stands for an existing capture
-    @pytest.mark.parametrize("argv,flag,mode", [
-        (["generate", "--am", "--n", "64", "--psi", "1.0"], "--psi", "--am"),
-        (["generate", "--am", "--n", "64", "--dev", "9999", "--mod-tone", "300"], "--dev", "--am"),
-        (["generate", "--tone", "--n", "64", "--mod-tone", "300"], "--mod-tone", "--tone"),
-        (["generate", "--tone", "--n", "64", "--mod-noise-bw", "1000", "--mod-noise-rms", "0.5"],
-         "--mod-noise-bw", "--tone"),
-        (["generate", "--nbfm", "--n", "64", "--mod-index", "0.9"], "--mod-index", "--nbfm"),
-        (["generate", "--tone", "--n", "64", "--mod-freq", "300"], "--mod-freq", "--tone"),
-        (["generate", "--nbfm", "--n", "64", "--snr-band", "-5000", "5000"], "--snr-band",
-         "--nbfm"),
-        (["analyze", "--spectrum", "--in", "SRC", "--tres", "5"], "--tres", "--spectrum"),
-        (["analyze", "--waterfall", "--in", "SRC", "--band", "1", "2"], "--band", "--waterfall"),
-        (["analyze", "--spectrum", "--in", "SRC", "--before", "SRC"], "--before", "--spectrum"),
-        (["analyze", "--suppression", "--before", "SRC", "--after", "SRC", "--band", "-5000",
-          "5000", "--in", "SRC"], "--in", "--suppression"),
+    # each mode's flags, given to another mode, even at the default (--psi 0.0); SRC stands for
+    # an existing capture
+    @pytest.mark.parametrize("argv,flag", [
+        (["generate", "am", "--n", "64", "--psi", "1.0"], "--psi"),
+        (["generate", "am", "--n", "64", "--dev", "9999", "--mod-tone", "300"], "--dev"),
+        (["generate", "tone", "--n", "64", "--mod-tone", "300"], "--mod-tone"),
+        (["generate", "tone", "--n", "64", "--mod-noise-bw", "1000", "--mod-noise-rms", "0.5"],
+         "--mod-noise-bw"),
+        (["generate", "nbfm", "--n", "64", "--mod-index", "0.9"], "--mod-index"),
+        (["generate", "tone", "--n", "64", "--mod-freq", "300"], "--mod-freq"),
+        (["generate", "am", "--n", "64", "--psi", "0.0", "--dev", "4000"], "--psi"),
+        (["analyze", "spectrum", "--in", "SRC", "--tres", "5"], "--tres"),
+        (["analyze", "waterfall", "--in", "SRC", "--band", "1", "2"], "--band"),
+        (["analyze", "spectrum", "--in", "SRC", "--before", "SRC"], "--before"),
+        (["analyze", "suppression", "--before", "SRC", "--after", "SRC", "--band", "-5000",
+          "5000", "--in", "SRC"], "--in"),
     ])
-    def test_a_flag_its_mode_does_not_read_is_rejected(self, tmp_path, capsys, argv, flag,
-                                                       mode):
+    def test_a_flag_its_mode_does_not_read_is_rejected(self, tmp_path, capsys, argv, flag):
         src, out = str(self.tone_file(tmp_path)), tmp_path / "out"
         argv = [src if a == "SRC" else a for a in argv]
-        self.expect_error(capsys, [*argv, "--rate", RATE, "--out", str(out)],
-                          f"{flag} does not apply to {mode}", [out, tmp_path / "out.truth.csv"])
+        self.expect_usage_error(capsys, [*argv, "--rate", RATE, "--out", str(out)],
+                                f"unrecognized arguments: {flag}",
+                                [out, tmp_path / "out.truth.csv"])
 
-    def test_a_flag_at_its_default_is_accepted_in_any_mode(self, tmp_path):
-        assert run(["generate", "--am", "--psi", "0.0", "--dev", "4000", "--n", "64",
-                    "--rate", RATE, "--out", str(tmp_path / "x.iq")]) == 0
+    @pytest.mark.parametrize("mode", ["nbfm", "tone"])
+    def test_snr_band_needs_snr(self, tmp_path, capsys, mode):
+        # the one rule across two flags, which the parser cannot state: the handler checks it
+        out = tmp_path / "out"
+        self.expect_error(capsys, ["generate", mode, "--n", "64", "--snr-band", "-5000", "5000",
+                                   "--rate", RATE, "--out", str(out)],
+                          "--snr-band needs --snr", [out, tmp_path / "out.truth.csv"])
 
     @pytest.mark.parametrize("flags,message", [
         (["--mod-noise-bw", "nan"], "mod_noise_bw_hz must be positive"),
@@ -723,14 +812,14 @@ class TestParameterErrors:
     ])
     def test_generate_nbfm_nan_setting(self, tmp_path, capsys, flags, message):
         out = tmp_path / "x.iq"
-        self.expect_error(capsys, ["generate", "--nbfm", "--rate", RATE, "--n", "4096", *flags,
+        self.expect_error(capsys, ["generate", "nbfm", "--rate", RATE, "--n", "4096", *flags,
                                    "--out", str(out)], message,
                           [out, tmp_path / "x.iq.truth.csv"])
 
     def test_generate_noise_rms_needs_noise_bw(self, tmp_path, capsys):
         # without --mod-noise-bw there is no noise for --mod-noise-rms to drive
         out = tmp_path / "x.iq"
-        self.expect_error(capsys, ["generate", "--nbfm", "--rate", RATE, "--n", "4096",
+        self.expect_error(capsys, ["generate", "nbfm", "--rate", RATE, "--n", "4096",
                                    "--mod-noise-rms", "0.5", "--out", str(out)],
                           "mod_noise_rms needs mod_noise_bw_hz", [out, tmp_path / "x.iq.truth.csv"])
 
@@ -755,7 +844,7 @@ class TestParameterErrors:
                                                                         snr):
         out = tmp_path / "x.iq"
         self.expect_error(capsys, [
-            "generate", "--tone", "--freq", "100", "--rate", RATE, "--n", "4096", "--snr", snr,
+            "generate", "tone", "--freq", "100", "--rate", RATE, "--n", "4096", "--snr", snr,
             "--snr-band", "-1000", "1000", "--out", str(out)],
             f"snr_db {float(snr)} gives a noise variance that is not positive and finite",
             [out, tmp_path / "x.iq.truth.csv"])
@@ -763,7 +852,7 @@ class TestParameterErrors:
     @pytest.mark.parametrize("psi", ["nan", "inf"])
     def test_generate_tone_psi_must_be_finite(self, tmp_path, capsys, psi):
         out = tmp_path / "x.iq"
-        self.expect_error(capsys, ["generate", "--tone", "--rate", RATE, "--n", "64",
+        self.expect_error(capsys, ["generate", "tone", "--rate", RATE, "--n", "64",
                                    "--psi", psi, "--out", str(out)],
                           "psi_rad must be finite", [out, tmp_path / "x.iq.truth.csv"])
 
@@ -772,10 +861,10 @@ class TestOutputsMatchLibrary:
     RATE_HZ = 2048000.0
 
     @pytest.mark.parametrize("flags,build", [
-        (["--am", "--freq", "20000", "--amp", "0.8", "--mod-index", "0.7", "--mod-freq", "500",
+        (["am", "--freq", "20000", "--amp", "0.8", "--mod-index", "0.7", "--mod-freq", "500",
           "--n", "5000"],
          lambda rate: siggen.gen_am(20000.0, 0.8, 0.7, 500.0, 5000, rate)),
-        (["--nbfm", "--freq", "2000", "--mod-tone", "1000:0.5", "--mod-tone", "2500:0.25",
+        (["nbfm", "--freq", "2000", "--mod-tone", "1000:0.5", "--mod-tone", "2500:0.25",
           "--dur", "0.01"],
          lambda rate: siggen.gen_nbfm(siggen.NbfmSpec(
              2000.0, 4000.0, 20480 / rate, mod_tones=((1000.0, 0.5), (2500.0, 0.25))), rate)),
@@ -795,7 +884,7 @@ class TestOutputsMatchLibrary:
         write_iq(stream, src, IqFormat.FLOAT32)
         assert run(["cancel", "--in", str(src), "--rate", RATE, "--out-residual", str(resid)]) == 0
         out = tmp_path / "cli.csv"
-        assert run(["analyze", "--suppression", "--before", str(src), "--after", str(resid),
+        assert run(["analyze", "suppression", "--before", str(src), "--after", str(resid),
                     "--band", "90000", "110000", "--rate", RATE, "--out", str(out)]) == 0
         report = metrics.suppression_report(read_iq(src, IqFormat.FLOAT32, self.RATE_HZ),
                                             read_iq(resid, IqFormat.FLOAT32, self.RATE_HZ),

@@ -5,10 +5,12 @@ stsa.metrics, so the oracle stays independent of the measured code.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
+import siggen_reference
 from stsa.iq import SampleStream
 from stsa.siggen import (
     NbfmSpec,
@@ -135,6 +137,19 @@ class TestNbfm:
         stream, truth = gen_nbfm(dataclasses.replace(plain, mod_noise_rms=0.5), RATE)
         assert np.all(np.abs(truth.f_inst_hz) == 4000.0)
         assert stream.samples.tobytes() == gen_nbfm(plain, RATE)[0].samples.tobytes()
+
+    def test_noise_rms_when_a_clip_saturates_every_sample(self):
+        # 33 samples at 48 kHz pass two bins below 1,455 Hz; with seed 10 the third clip leaves
+        # every sample at -1, so the drive stops on a zero spread (the earlier body divided by
+        # it, with a RuntimeWarning) and keeps the earlier body's bytes
+        spec = NbfmSpec(carrier_offset_hz=0.0, deviation_hz=4000.0, duration_s=33 / 48000.0,
+                        mod_noise_bw_hz=1455.0, mod_noise_seed=10, mod_noise_rms=0.5)
+        stream, truth = gen_nbfm(spec, 48000.0)
+        assert np.all(truth.f_inst_hz == -4000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = siggen_reference.gen_nbfm(spec, 48000.0)
+        assert stream.samples.tobytes() == want[0].tobytes()
 
     def test_carson_band(self):
         spec = NbfmSpec(carrier_offset_hz=25000.0, deviation_hz=4000.0,
