@@ -14,8 +14,8 @@ independent, so an iterative peel loop processes a whole batch of them at once:
 
 Times t_k are referenced to the block center, so each estimate's phase is the
 carrier phase at the center of its block.  process_stream returns every
-estimate of a stream as one columnar Estimates table.  It runs the batches on a
-pool of one thread per available CPU and assumes a single-threaded BLAS; a block's
+estimate of a stream as one columnar Estimates table.  Its batches run through on_pool,
+stsa's one thread pool (a thread per available CPU), which assumes a single-threaded BLAS; a block's
 values do not depend on its batch, so the batch size and thread count change none.
 """
 
@@ -392,6 +392,14 @@ def worker_count(jobs: int) -> int:
     return max(1, min(cpus or 1, jobs))
 
 
+def on_pool(n: int, step: int, job) -> list:
+    """[job(lo, min(lo + step, n)) for lo in range(0, n, step)] on worker_count threads; once
+    every job has ended, the first failing job's error in start order is raised."""
+    with ThreadPoolExecutor(worker_count(-(-n // step))) as pool:
+        futures = [pool.submit(job, lo, min(lo + step, n)) for lo in range(0, n, step)]
+        return [f.result() for f in futures]
+
+
 def process_stream(stream: SampleStream, config: StsaConfig) -> Estimates:
     """Estimate every complete block of the stream (tail samples are dropped)."""
     n, hop, rate = config.block_len_n, config.hop, stream.sample_rate_hz
@@ -399,11 +407,8 @@ def process_stream(stream: SampleStream, config: StsaConfig) -> Estimates:
         return _estimate_blocks(np.zeros((0, n)), config, rate, np.zeros(0), 0)
     blocks = sliding_window_view(stream.samples, n)[::hop]
     t_centers = (np.arange(len(blocks)) * hop + (n - 1) / 2.0) / rate
-    workers = worker_count(len(blocks))
-    batch = max(1, _POOL_SAMPLES // (workers * n))
-    with ThreadPoolExecutor(workers) as pool:
-        tables = list(pool.map(lambda i: _estimate_blocks(
-            blocks[i : i + batch], config, rate, t_centers[i : i + batch], i),
-            range(0, len(blocks), batch)))
+    batch = max(1, _POOL_SAMPLES // (worker_count(len(blocks)) * n))
+    tables = on_pool(len(blocks), batch, lambda lo, hi: _estimate_blocks(
+        blocks[lo:hi], config, rate, t_centers[lo:hi], lo))
     columns = zip(*(vars(t).values() for t in tables))  # each field across the batches
     return Estimates(*map(np.concatenate, columns))

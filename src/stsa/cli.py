@@ -3,7 +3,7 @@
 All numeric outputs are CSV with fixed column orders (see --help of each
 subcommand); IQ files are raw interleaved binaries handled by stsa.iq.
 Exit codes: 0 success, 2 usage or parameter error, 1 runtime (I/O) error.
-`cancel` writes its output files and computes its report concurrently.
+`cancel` writes its output files and computes its report concurrently, on blockproc.on_pool.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import blockproc, iq, metrics, pipeline, siggen, synthesis
 from .blockproc import OVERLAP_MODES, StsaConfig
@@ -218,16 +217,15 @@ def cmd_cancel(args) -> int:
     if band:  # the report needs one whole segment: fail before any output is written
         metrics.segment_count(len(stream), args.rate)
     result = pipeline.run_cancel(stream, config, inter_pass_format=fmt)
-    # The jobs only read the input and the residual, so they run concurrently, the report
-    # (the longest) first.  Results are read in list order: the first failing job's error wins.
+    # The jobs only read the input and the residual, so they run concurrently on one pool, the
+    # report (the longest) first: on_pool raises the first failing job's error in list order.
     jobs = [lambda: metrics.suppression_report(stream, result.residual, band)] if band else []
     jobs.append(lambda: iq.write_iq(result.residual, args.out_residual, fmt))
     if args.out_estimate:
         jobs.append(lambda: iq.write_iq(stream, args.out_estimate, fmt, minus=result.residual))
     if args.out_tracks:
         jobs.append(lambda: synthesis.write_tracks_csv(result.passes, args.out_tracks))
-    with ThreadPoolExecutor(blockproc.worker_count(len(jobs))) as pool:
-        report, *_ = [f.result() for f in [pool.submit(job) for job in jobs]]
+    report, *_ = blockproc.on_pool(len(jobs), 1, lambda i, _: jobs[i]())
     if band:
         print(metrics.format_report(report))
         if args.report:
@@ -265,7 +263,13 @@ def cmd_analyze(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # argparse hands a mode's extras up: report them with the mode's own usage line
+        for word in (args.command, getattr(args, "mode", None)):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            parser = subs[0].choices[word] if subs else parser
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     handlers = {"generate": cmd_generate, "cancel": cmd_cancel, "analyze": cmd_analyze}
     try:
         return handlers[args.command](args)

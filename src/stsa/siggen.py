@@ -14,7 +14,6 @@ noise.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,13 +109,6 @@ class NbfmSpec:
         return (self.carrier_offset_hz - half, self.carrier_offset_hz + half)
 
 
-def _on_pool(n: int, job) -> None:
-    """Run job(lo, hi) over [0, n) in _CHUNK-sample pieces on the worker pool."""
-    starts = range(0, n, _CHUNK)
-    with ThreadPoolExecutor(blockproc.worker_count(len(starts))) as pool:
-        list(pool.map(lambda lo: job(lo, min(lo + _CHUNK, n)), starts))
-
-
 def waveform_from_truth(truth: TruthRecord) -> np.ndarray:
     """Integrate a TruthRecord into complex samples.
 
@@ -140,7 +132,7 @@ def waveform_from_truth(truth: TruthRecord) -> np.ndarray:
         np.exp(out[lo:hi], out=out[lo:hi])
         np.multiply(truth.amplitude[lo:hi], out[lo:hi], out=out[lo:hi])
 
-    _on_pool(n, finish)
+    blockproc.on_pool(n, _CHUNK, finish)
     return out
 
 
@@ -181,7 +173,7 @@ def _tone_sum(n: int, tones, sample_rate_hz: float) -> np.ndarray:
         for f_mod, a_mod in tones:
             total[lo:hi] += a_mod * np.cos(2.0 * np.pi * f_mod * t)
 
-    _on_pool(n if tones else 0, add)
+    blockproc.on_pool(n if tones else 0, _CHUNK, add)
     return total
 
 

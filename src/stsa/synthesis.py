@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from concurrent.futures import ThreadPoolExecutor
 from itertools import count, repeat
 
 import numpy as np
@@ -110,8 +109,8 @@ def synthesize(
     there is the outer product of two short phasor tables, both exactly 1 at
     the block center, so a center on the sample grid is amp*exp(j*phase).
     Each row adds block r-1's right half before block r's left half, so the
-    sum does not depend on where a pass ends, nor on the blockproc.worker_count
-    equal row ranges that a thread pool renders, one per CPU.
+    sum does not depend on where a pass ends, nor on the ranges of
+    ceil(rows / blockproc.worker_count(rows)) rows that blockproc.on_pool renders.
     """
     length, sample_rate_hz = stream_meta
     n = config.block_len_n
@@ -163,9 +162,7 @@ def synthesize(
                 frames[_rows(blk[i:kr] + 1)] += weights[kind_r[i:kr]] * tones[: kr - i, hop:]
                 frames[_rows(blk[kl:k])] += weights[kind_l[kl:k]] * tones[kl - i :, :hop]
 
-    edges = [rows * k // workers for k in range(workers + 1)]
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(render, edges[:-1], edges[1:]))  # re-raises a range's error
+    blockproc.on_pool(rows, -(-rows // workers), render)
     return frames.reshape(-1)[hop - ic0 : hop - ic0 + length]
 
 

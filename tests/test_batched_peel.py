@@ -16,6 +16,8 @@ equal it exactly, block for block.
 import os
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,3 +427,54 @@ def test_batches_run_on_several_threads(monkeypatch):
 def test_worker_count_is_capped_by_the_jobs():
     assert blockproc.worker_count(1) == 1
     assert 1 <= blockproc.worker_count(10**6) <= (os.cpu_count() or 1)
+
+
+def test_on_pool_returns_results_in_start_order(monkeypatch):
+    """The first job waits for the last to finish, so the results arrive out of order."""
+    monkeypatch.setattr(blockproc, "worker_count", lambda jobs: 4)
+    last_done = threading.Event()
+
+    def job(lo, hi):
+        if lo == 0:
+            assert last_done.wait(timeout=30)
+        if hi == 10:
+            last_done.set()
+        return lo, hi
+
+    assert blockproc.on_pool(10, 3, job) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_on_pool_raises_the_first_error_after_every_job_ends(monkeypatch, workers):
+    """Jobs 1 and 3 of 4 raise (on four threads job 3 raises first); job 1's error comes out,
+    and only once every job has ended: job 2 sleeps longest, and on one thread job 3 waits
+    behind it, so a pool that cancels queued jobs on an error would skip it."""
+    monkeypatch.setattr(blockproc, "worker_count", lambda jobs: workers)
+    ended = []
+
+    def job(lo, hi):
+        try:
+            time.sleep({1: 0.05, 2: 0.2}.get(lo, 0.0))
+            if lo in (1, 3):
+                raise RuntimeError(f"job {lo}")
+            return lo
+        finally:
+            ended.append(lo)
+
+    with pytest.raises(RuntimeError, match="job 1"):
+        blockproc.on_pool(4, 1, job)
+    assert sorted(ended) == [0, 1, 2, 3]
+
+
+def test_on_pool_edge_sizes():
+    calls = []
+    assert blockproc.on_pool(0, 5, lambda lo, hi: calls.append((lo, hi))) == []
+    assert calls == []
+    assert blockproc.on_pool(3, 10, lambda lo, hi: (lo, hi)) == [(0, 3)]
+
+
+def test_only_blockproc_builds_a_thread_pool():
+    """Every pool in stsa goes through blockproc.on_pool, the one place to size or trace it."""
+    modules = Path(blockproc.__file__).parent.glob("*.py")
+    assert sorted(p.name for p in modules if "ThreadPoolExecutor" in p.read_text()) == [
+        "blockproc.py"]

@@ -554,11 +554,13 @@ class TestParameterErrors:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not any(p.exists() for p in outputs)
 
-    def expect_usage_error(self, capsys, argv, message, outputs=()):
+    def expect_usage_error(self, capsys, argv, message, outputs=(), usage="usage: stsa "):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert err.startswith(usage), err
         assert not any(p.exists() for p in outputs)
 
     @staticmethod
@@ -794,7 +796,8 @@ class TestParameterErrors:
         argv = [src if a == "SRC" else a for a in argv]
         self.expect_usage_error(capsys, [*argv, "--rate", RATE, "--out", str(out)],
                                 f"unrecognized arguments: {flag}",
-                                [out, tmp_path / "out.truth.csv"])
+                                [out, tmp_path / "out.truth.csv"],
+                                usage=f"usage: stsa {argv[0]} {argv[1]} [-h] ")  # the mode's own
 
     @pytest.mark.parametrize("mode", ["nbfm", "tone"])
     def test_snr_band_needs_snr(self, tmp_path, capsys, mode):
