@@ -168,6 +168,7 @@ def cmd_generate(args) -> int:
     _check_distinct_outputs(args.out, truth_path)
     fmt = IqFormat(args.format)
     n = _sample_count(args)
+    iq.SampleStream([], args.rate)  # checks --rate before a generator reads it
     snr_band = tuple(args.snr_band) if args.snr_band else None
     if snr_band and args.snr == math.inf:
         raise ValueError("--snr-band needs --snr")

@@ -1,4 +1,4 @@
-"""Binary IQ file input/output.
+"""File input/output: binary IQ samples and CSV tables.
 
 Two interleaved little-endian sample layouts are supported:
 
@@ -160,3 +160,10 @@ def write_iq(stream: SampleStream, path, fmt: IqFormat,
         if os.path.isfile(path):  # never a device or a FIFO such as /dev/null
             os.remove(path)
         raise
+
+
+def write_csv(path, header: str, row_format: str, rows) -> None:
+    """Write header, then row_format % row for each row, a tuple of Python numbers."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(map((row_format + "\n").__mod__, rows))

@@ -10,11 +10,11 @@ was left alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .iq import SampleStream
+from .iq import SampleStream, write_csv
 
 DEFAULT_RESOLUTION_HZ = 125.0
 SPECTRUM_CSV_HEADER = "freq_hz,power"
@@ -53,7 +53,7 @@ def _segment_length(sample_rate_hz: float, resolution_hz: float) -> int:
     if not 0 < resolution_hz < math.inf:
         raise ValueError(f"resolution_hz must be positive and finite, got {resolution_hz}")
     samples = sample_rate_hz / resolution_hz
-    if samples == math.inf:
+    if samples > np.iinfo(np.intp).max:
         raise ValueError(f"resolution_hz {resolution_hz} is too fine at {sample_rate_hz} Hz: "
                          "the segment length overflows")
     return max(int(round(samples)), 1)
@@ -100,7 +100,7 @@ def dynamic_spectrum(stream: SampleStream, t_res_s: float, f_res_hz: float) -> D
     if not 0 < t_res_s < math.inf:
         raise ValueError(f"t_res_s must be positive and finite, got {t_res_s}")
     cell = t_res_s * stream.sample_rate_hz
-    if cell == math.inf:
+    if cell > np.iinfo(np.intp).max:
         raise ValueError(f"t_res_s {t_res_s} is too long at {stream.sample_rate_hz} Hz: "
                          "the cell length overflows")
     cell = int(round(cell))
@@ -185,25 +185,18 @@ def format_report(report: SuppressionReport) -> str:
 
 def write_report_csv(report: SuppressionReport, path) -> None:
     """One header and one row; the header's last column is always left empty."""
-    with open(path, "w") as fh:
-        fh.write(REPORT_CSV_HEADER + "\n")
-        fh.write(
-            f"{report.band_hz[0]:.6f},{report.band_hz[1]:.6f},"
-            f"{report.power_before:.9g},{report.power_after:.9g},"
-            f"{report.suppression_db:.6f},{report.out_of_band_delta_db:.6f},\n"
-        )
+    band, *values = astuple(report)  # the fields in REPORT_CSV_HEADER's order
+    write_csv(path, REPORT_CSV_HEADER, "%.6f,%.6f,%.9g,%.9g,%.6f,%.6f,", [(*band, *values)])
 
 
 def write_spectrum_csv(frame: SpectrumFrame, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(SPECTRUM_CSV_HEADER + "\n")
-        for f, p in zip(frame.freqs_hz, frame.power):
-            fh.write(f"{f:.6f},{p:.9g}\n")
+    write_csv(path, SPECTRUM_CSV_HEADER, "%.6f,%.9g",
+              zip(frame.freqs_hz.tolist(), frame.power.tolist()))
 
 
 def write_dynamic_spectrum_csv(ds: DynamicSpectrum, path) -> None:
     """Row-major waterfall: header of frequencies, one row per time cell."""
-    with open(path, "w") as fh:
-        fh.write("time_s," + ",".join(f"{f:.3f}" for f in ds.freqs_hz) + "\n")
-        for t, row in zip(ds.times_s, ds.power):
-            fh.write(f"{t:.6f}," + ",".join(f"{p:.6g}" for p in row) + "\n")
+    cols = ds.freqs_hz.size
+    write_csv(path, ("time_s" + ",%.3f" * cols) % tuple(ds.freqs_hz.tolist()),
+              "%.6f" + ",%.6g" * cols,
+              ((t, *row) for t, row in zip(ds.times_s.tolist(), ds.power.tolist())))

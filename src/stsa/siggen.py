@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blockproc
-from .iq import SampleStream
+from .iq import SampleStream, write_csv
 
 TRUTH_CSV_HEADER = "sample_index,f_inst_hz,amplitude"
 _CHUNK = 2**16  # samples per pool job, a power of two: only the last ends inside a SIMD vector
@@ -305,6 +305,4 @@ def add_awgn(
 def write_truth_csv(truth: TruthRecord, path) -> None:
     """Sidecar truth table with TRUTH_CSV_HEADER's columns, one row per sample."""
     f, a = truth.f_inst_hz.tolist(), truth.amplitude.tolist()
-    with open(path, "w") as fh:
-        fh.write(TRUTH_CSV_HEADER + "\n")
-        fh.writelines(map("%d,%.6f,%.9g\n".__mod__, zip(range(len(f)), f, a)))
+    write_csv(path, TRUTH_CSV_HEADER, "%d,%.6f,%.9g", zip(range(len(f)), f, a))

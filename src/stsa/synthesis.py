@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from itertools import count, repeat
+from itertools import chain, count, repeat
 
 import numpy as np
 
 from . import blockproc
 from .blockproc import Estimates, StsaConfig
-from .iq import SampleStream
+from .iq import SampleStream, write_csv
 
 TRACKS_CSV_HEADER = "signal_id,block_index,t_center_s,peel_rank,amp,freq_hz,phase_rad"
 
@@ -193,11 +193,8 @@ def write_tracks_csv(passes, path) -> None:
     The tracks get the signal ids 0..T-1 in pass order, then list order.
     """
     ids = count()
-    with open(path, "w") as fh:
-        fh.write(TRACKS_CSV_HEADER + "\n")
-        for est, tracks in passes:
-            columns = (est.block_index, est.t_center_s, est.peel_rank, est.amp, est.freq_hz,
-                       est.phase_rad)
-            for rows, signal_id in zip(tracks, ids):  # tracks first: no id is drawn past the end
-                fh.writelines(map("%d,%d,%.9f,%d,%.9g,%.6f,%.9f\n".__mod__,
-                                  zip(repeat(signal_id), *(c[rows].tolist() for c in columns))))
+    write_csv(path, TRACKS_CSV_HEADER, "%d,%d,%.9f,%d,%.9g,%.6f,%.9f", chain.from_iterable(
+        zip(repeat(signal_id), *(c[rows].tolist() for c in (
+            est.block_index, est.t_center_s, est.peel_rank, est.amp, est.freq_hz, est.phase_rad)))
+        for est, tracks in passes
+        for rows, signal_id in zip(tracks, ids)))  # tracks first: no id is drawn past the end

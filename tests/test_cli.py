@@ -616,6 +616,14 @@ class TestParameterErrors:
         self.expect_error(capsys, ["generate", "tone", "--rate", RATE, *length,
                                    "--out", str(out)], "--dur ", [out])
 
+    @pytest.mark.parametrize("rate", ["nan", "0", "-48000"])
+    @pytest.mark.parametrize("kind", ["tone", "nbfm", "am"])
+    def test_generate_rate_must_be_positive_and_finite(self, tmp_path, capsys, kind, rate):
+        out = tmp_path / "x.iq"
+        self.expect_error(capsys, ["generate", kind, f"--rate={rate}", "--n", "16",
+                                   "--out", str(out)], "sample_rate_hz must be positive and finite",
+                          [out, tmp_path / "x.iq.truth.csv"])
+
     @pytest.mark.parametrize("kind", ["am", "tone"])
     def test_generate_negative_sample_count(self, tmp_path, capsys, kind):
         out = tmp_path / "x.iq"
@@ -625,6 +633,9 @@ class TestParameterErrors:
     @pytest.mark.parametrize("what,flag,value,message", [
         ("spectrum", "--res", "1e-320", "resolution_hz 1e-320 is too fine"),
         ("waterfall", "--res", "1e-320", "resolution_hz 1e-320 is too fine"),
+        ("spectrum", "--res", "1e-300", "resolution_hz 1e-300 is too fine"),
+        ("waterfall", "--res", "1e-300", "resolution_hz 1e-300 is too fine"),
+        ("waterfall", "--tres", "1e200", "t_res_s 1e+200 is too long"),
         ("waterfall", "--tres", "1e303", "t_res_s 1e+303 is too long"),
         ("waterfall", "--tres", "inf", "t_res_s must be positive and finite"),
         ("waterfall", "--tres", "nan", "t_res_s must be positive and finite"),
