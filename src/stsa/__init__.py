@@ -5,14 +5,7 @@ of a noise-free waveform estimate; and coherent subtraction of that estimate
 from the original stream.
 """
 
-from .blockproc import (
-    BlockEstimates,
-    Estimates,
-    SinusoidEstimate,
-    StsaConfig,
-    estimate_block,
-    process_stream,
-)
+from .blockproc import Estimates, StsaConfig, process_stream
 from .iq import IqFormat, SampleStream, read_iq, write_iq
 from .metrics import (
     DynamicSpectrum,
@@ -24,19 +17,17 @@ from .metrics import (
 )
 from .pipeline import CancelResult, run_cancel
 from .siggen import NbfmSpec, TruthRecord, add_awgn, gen_am, gen_nbfm, gen_tone, mix
-from .synthesis import assemble_tracks, cancel, combine_waveforms, synthesize
+from .synthesis import assemble_tracks, cancel, synthesize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockEstimates",
     "CancelResult",
     "DynamicSpectrum",
     "Estimates",
     "IqFormat",
     "NbfmSpec",
     "SampleStream",
-    "SinusoidEstimate",
     "SpectrumFrame",
     "StsaConfig",
     "SuppressionReport",
@@ -44,9 +35,7 @@ __all__ = [
     "add_awgn",
     "assemble_tracks",
     "cancel",
-    "combine_waveforms",
     "dynamic_spectrum",
-    "estimate_block",
     "gen_am",
     "gen_nbfm",
     "gen_tone",

@@ -36,6 +36,8 @@ from .iq import SampleStream
 
 WINDOW_NAMES = ("triangular", "hamming", "rectangular")
 OVERLAP_MODES = ("none", "half")
+# Complex values in the fine search's correlation bank, at most: 256 MiB of complex128.
+SEARCH_TABLE_BUDGET = 2**24
 
 
 def wrap_phase(phi):
@@ -59,6 +61,8 @@ class StsaConfig:
     jump_limit_bins bounds a track's frequency step, in bins per elapsed block;
     passes counts the estimate-cancel iterations, and strongest_only cancels
     only each pass's highest-energy track.
+    The search's bank holds (2 * round(1 / fine_grid_fraction) + 1) * block_len_n
+    complex values, at most SEARCH_TABLE_BUDGET.
     """
 
     fine_search_span_bins = 1.0
@@ -83,6 +87,13 @@ class StsaConfig:
             raise ValueError(f"window must be one of {WINDOW_NAMES}")
         if not 0 < self.fine_grid_fraction <= 1:
             raise ValueError("fine_grid_fraction must lie in (0, 1]")
+        steps = self.fine_search_span_bins / self.fine_grid_fraction  # inf past float64
+        size = (2 * round(steps) + 1 if math.isfinite(steps) else math.inf) * int(self.block_len_n)
+        if size > SEARCH_TABLE_BUDGET:
+            raise ValueError(
+                f"block_len_n {self.block_len_n} with fine_grid_fraction {self.fine_grid_fraction}"
+                f" needs a fine-search table of {size:.3g} complex values, over the budget of"
+                f" 2**24 (256 MiB)")
         if not math.isfinite(self.detect_threshold_db):
             raise ValueError("detect_threshold_db must be finite")
         if self.detect_threshold_db / 10.0 >= math.log10(np.finfo(float).max):
@@ -192,13 +203,16 @@ def _centered_times(n: int, sample_rate_hz: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _correlation_bank(n, sample_rate_hz, fraction):
-    """Fine-grid frequency offsets (Hz) and the matching probe matrix.
+def _search_tables(n, sample_rate_hz, fraction):
+    """Fine-grid offsets (Hz), their correlation bank, and the interpolated search's factors.
 
-    Row m of the matrix is exp(-j*2*pi*offset[m]*t_k); the search for any
-    coarse frequency reuses it after mixing the block down by the coarse
-    frequency.  Rows run 0, -1, +1, -2, +2, ... steps, so the first maximum
-    of a search breaks ties toward the coarse frequency, then downward.
+    Row m of the bank is exp(-j*2*pi*offset[m]*t_k); the search for any coarse
+    frequency reuses it after mixing the block down by the coarse frequency.
+    Rows run 0, -1, +1, -2, +2, ... steps, so the first maximum of a search
+    breaks ties toward the coarse frequency, then downward.  The probes sit at
+    22 Chebyshev points across the offsets, and lagrange is the barycentric map
+    from them to every offset (Berrut & Trefethen 2004): probes @ lagrange is
+    bank.T to rounding, since a block spans at most 4*pi/3 rad of probe phase.
     """
     bin_width = sample_rate_hz / n
     n_steps = int(round(StsaConfig.fine_search_span_bins / fraction))
@@ -206,26 +220,17 @@ def _correlation_bank(n, sample_rate_hz, fraction):
     offsets_hz = (steps + 1) // 2 * np.where(steps % 2, -1, 1) * (fraction * bin_width)
     t = _centered_times(n, sample_rate_hz)
     bank = np.exp(-2j * np.pi * np.outer(offsets_hz, t))
-    offsets_hz.flags.writeable = False
-    bank.flags.writeable = False
-    return offsets_hz, bank
-
-
-@lru_cache(maxsize=8)
-def _search_factors(n, sample_rate_hz, fraction):
-    """Probes at 22 Chebyshev points across the bank's offsets, and the barycentric map from
-    them to every offset (Berrut & Trefethen 2004): probes @ lagrange is _correlation_bank's
-    bank.T to rounding, since a block spans at most 4*pi/3 rad of probe phase."""
-    offsets_hz = _correlation_bank(n, sample_rate_hz, fraction)[0]
     extent, x = np.abs(offsets_hz).max(), np.cos(np.arange(22) * np.pi / 21)
     weights = (-1.0) ** np.arange(22) * np.r_[0.5, np.ones(20), 0.5]
     d = offsets_hz[:, None] / extent - x
     with np.errstate(divide="ignore"):  # a grid point on a node takes that node's value
         q = np.where((d == 0).any(axis=1, keepdims=True), d == 0, weights / d)
-    probes = np.exp(-2j * np.pi * np.outer(_centered_times(n, sample_rate_hz), extent * x))
+    probes = np.exp(-2j * np.pi * np.outer(t, extent * x))
     lagrange = (q / q.sum(axis=1, keepdims=True)).T.astype(np.complex128, order="C")
-    probes.flags.writeable = lagrange.flags.writeable = False
-    return probes, lagrange
+    tables = offsets_hz, bank, probes, lagrange
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _normalize(rows: np.ndarray):
@@ -274,7 +279,7 @@ def refine_frequency(
     the coarse estimate.
     """
     n = windowed_block.size
-    offsets_hz, bank = _correlation_bank(n, sample_rate_hz, config.fine_grid_fraction)
+    offsets_hz, bank = _search_tables(n, sample_rate_hz, config.fine_grid_fraction)[:2]
     t = _centered_times(n, sample_rate_hz)
     mixed = windowed_block * np.exp(-2j * np.pi * coarse_freq_hz * t)
     return coarse_freq_hz + float(offsets_hz[np.argmax(np.abs(bank @ mixed))])
@@ -317,8 +322,8 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
     n = config.block_len_n
     w = window_values(config.window, n)
     w_mean = _window_mean(config.window, n)
-    offsets_hz, bank = _correlation_bank(n, sample_rate_hz, config.fine_grid_fraction)
-    probes, lagrange = _search_factors(n, sample_rate_hz, config.fine_grid_fraction)
+    offsets_hz, bank, probes, lagrange = _search_tables(n, sample_rate_hz,
+                                                        config.fine_grid_fraction)
     work, exps = _normalize(blocks)  # outputs are scaled back by 2**exps
     floors = np.zeros(len(work))
     active = np.arange(len(work))
@@ -403,8 +408,9 @@ def on_pool(n: int, step: int, job) -> list:
 def process_stream(stream: SampleStream, config: StsaConfig) -> Estimates:
     """Estimate every complete block of the stream (tail samples are dropped)."""
     n, hop, rate = config.block_len_n, config.hop, stream.sample_rate_hz
-    if len(stream) < n:
-        return _estimate_blocks(np.zeros((0, n)), config, rate, np.zeros(0), 0)
+    if len(stream) < n:  # no complete block: the empty table, building no window or table
+        ints, floats = np.zeros((2, 0), np.intp), np.zeros((5, 0))
+        return Estimates(*ints, *floats)
     blocks = sliding_window_view(stream.samples, n)[::hop]
     t_centers = (np.arange(len(blocks)) * hop + (n - 1) / 2.0) / rate
     batch = max(1, _POOL_SAMPLES // (worker_count(len(blocks)) * n))

@@ -30,10 +30,9 @@ from stsa.blockproc import (
     SinusoidEstimate,
     StsaConfig,
     _centered_times,
-    _correlation_bank,
     _detect_rows,
     _normalize,
-    _search_factors,
+    _search_tables,
     _window_mean,
     detect_peak,
     estimate_amp_phase,
@@ -142,8 +141,8 @@ def reference_estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_i
     n = config.block_len_n
     w = window_values(config.window, n)
     w_mean = _window_mean(config.window, n)
-    offsets_hz, bank = _correlation_bank(n, sample_rate_hz, config.fine_grid_fraction)
-    probes, lagrange = _search_factors(n, sample_rate_hz, config.fine_grid_fraction)
+    offsets_hz, bank, probes, lagrange = _search_tables(n, sample_rate_hz,
+                                                        config.fine_grid_fraction)
     residual, exps = _normalize(blocks)  # outputs are scaled back by 2**exps
     floors = np.zeros(len(residual))
     active = np.arange(len(residual))

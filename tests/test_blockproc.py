@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from stsa.blockproc import (
     WINDOW_NAMES,
     StsaConfig,
-    _correlation_bank,
-    _search_factors,
+    _centered_times,
+    _search_tables,
     _window_mean,
     detect_peak,
     estimate_amp_phase,
@@ -25,6 +25,7 @@ from stsa.blockproc import (
     wrap_phase,
 )
 from stsa.iq import SampleStream
+from stsa.pipeline import run_cancel
 from stsa.siggen import NbfmSpec, add_awgn, gen_nbfm, gen_tone
 
 RATE = 2048000.0
@@ -76,6 +77,36 @@ class TestConfig:
         cfg = StsaConfig(block_len_n=np.int64(64), max_peel=np.int32(2))
         assert len(process_stream(SampleStream(np.ones(256, complex), RATE), cfg)) == 4
 
+    @pytest.mark.parametrize("field,value", [
+        ("fine_grid_fraction", 1e-7), ("fine_grid_fraction", 5e-324), ("block_len_n", 2**24),
+        ("block_len_n", np.int64(2**62)),
+    ])
+    def test_search_table_over_budget_rejected(self, field, value):
+        with pytest.raises(ValueError, match=r"^block_len_n .* fine_grid_fraction .* budget"):
+            StsaConfig(**{field: value})
+
+    @pytest.mark.parametrize("fraction,rows", [(1.0, 3), (0.6, 5), (0.01, 201)])
+    def test_search_table_budget_edge(self, fraction, rows):
+        # the bank has 2 * round(1 / fraction) + 1 rows of block_len_n values, 2**24 at most
+        n = 2**24 // rows
+        assert StsaConfig(block_len_n=n, fine_grid_fraction=fraction).block_len_n == n
+        with pytest.raises(ValueError, match="over the budget"):
+            StsaConfig(block_len_n=n + 1, fine_grid_fraction=fraction)
+
+    def test_capture_without_a_block_builds_nothing(self):
+        stream = SampleStream(np.ones(1000, complex), RATE)
+        config = StsaConfig(block_len_n=65536)
+        caches = (window_values, _window_mean, _centered_times, _search_tables)
+        before = [cache.cache_info() for cache in caches]
+        table = process_stream(stream, config)
+        assert [cache.cache_info() for cache in caches] == before
+        assert len(table) == 0 and list(table) == []
+        assert [(c.dtype, c.size) for c in vars(table).values()] == (
+            [(np.intp, 0)] * 2 + [(np.float64, 0)] * 5)
+        result = run_cancel(stream, config)
+        assert result.residual.samples.tobytes() == stream.samples.tobytes()
+        assert [len(tracks) for _, tracks in result.passes] == [0]
+
     def test_threshold_rejected_exactly_where_its_power_ratio_overflows(self):
         def overflows(threshold_db):
             try:
@@ -99,7 +130,7 @@ class TestConfig:
         assert "fine_search_span_bins" not in {f.name for f in dataclasses.fields(StsaConfig)}
         with pytest.raises(TypeError):
             StsaConfig(fine_search_span_bins=2.0)
-        offsets_hz, _ = _correlation_bank(256, RATE, 0.01)
+        offsets_hz = _search_tables(256, RATE, 0.01)[0]
         assert offsets_hz.max() == -offsets_hz.min() == RATE / 256
 
     def test_half_overlap_hop(self):
@@ -241,8 +272,7 @@ INTERPOLATION_BOUND = 5e-14
        tone_amp=st.floats(0.0, 100.0), seed=st.integers(0, 2**32 - 1))
 def test_interpolated_search_matches_the_bank(n, fraction, window, tone_bins, tone_amp, seed):
     """The node correlations mapped to the grid equal the full bank's, relative to max|corr|."""
-    _, bank = _correlation_bank(n, RATE, fraction)
-    probes, lagrange = _search_factors(n, RATE, fraction)
+    _, bank, probes, lagrange = _search_tables(n, RATE, fraction)
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
     rows[0] += tone_amp * np.exp(2j * np.pi * tone_bins * RATE / n * centered_times(n))
@@ -254,19 +284,19 @@ def test_interpolated_search_matches_the_bank(n, fraction, window, tone_bins, to
 
 @given(n=st.sampled_from([8, 9]), fraction=st.floats(1e-3, 1.0))
 def test_search_factors_are_finite_and_sum_to_one(n, fraction):
-    probes, lagrange = _search_factors(n, RATE, fraction)
+    probes, lagrange = _search_tables(n, RATE, fraction)[2:]
     assert np.isfinite(probes).all() and np.isfinite(lagrange).all()
     np.testing.assert_allclose(lagrange.sum(axis=0), 1.0, rtol=0, atol=1e-13)
 
 
 def test_grid_point_next_to_a_node_takes_that_node():
     # at fraction 0.01 the grid point +0.5 bin lies one ulp from the node cos(pi/3)
-    offsets_hz, _ = _correlation_bank(N, RATE, 0.01)
+    offsets_hz = _search_tables(N, RATE, 0.01)[0]
     node = np.cos(7 * np.pi / 21)
     u = offsets_hz / np.abs(offsets_hz).max()
     m = np.argmin(np.abs(u - node))
     assert 0 < abs(u[m] - node) <= np.spacing(node)
-    column = _search_factors(N, RATE, 0.01)[1][:, m]
+    column = _search_tables(N, RATE, 0.01)[3][:, m]
     assert np.isfinite(column).all()
     np.testing.assert_allclose(column, np.eye(22)[7], rtol=0, atol=1e-14)
 

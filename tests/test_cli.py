@@ -2,6 +2,10 @@
 
 import argparse
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -592,6 +596,25 @@ class TestParameterErrors:
             "--out-residual", str(outputs[0]), "--out-estimate", str(outputs[1]),
             "--out-tracks", str(outputs[2]), "--report", str(outputs[3])],
             "stream too short: need at least 16384 samples", outputs)
+
+    @pytest.mark.parametrize("flags", [["--grid-frac", "1e-7"], ["--n", "16777216"]])
+    def test_cancel_search_table_over_budget(self, tmp_path, flags):
+        # a child under a 2 GiB address-space cap: a table built anyway fails fast, not the host
+        src, resid = self.tone_file(tmp_path, n=1000), tmp_path / "r.iq"
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                 "from stsa.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))")
+        src_dir = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", child, "cancel", "--in", str(src), "--rate",
+                               RATE, *flags, "--out-residual", str(resid)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: block_len_n "), done.stderr
+        assert "fine_grid_fraction" in done.stderr and "over the budget of 2**24" in done.stderr
+        assert not resid.exists()
 
     @pytest.mark.parametrize("band", [("nan", "1"), ("5000", "-5000"), ("2000000", "3000000")])
     def test_analyze_suppression_band_checked(self, tmp_path, capsys, band):
