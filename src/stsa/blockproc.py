@@ -175,7 +175,6 @@ class PeakDetection(NamedTuple):
     noise_floor: float
 
 
-@lru_cache(maxsize=None)
 def window_values(window: str, n: int) -> np.ndarray:
     if window == "triangular":
         k = np.arange(n, dtype=np.float64)
@@ -190,19 +189,13 @@ def window_values(window: str, n: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=None)
-def _window_mean(window: str, n: int) -> float:
-    return float(np.mean(window_values(window, n)))
-
-
-@lru_cache(maxsize=None)
 def _centered_times(n: int, sample_rate_hz: float) -> np.ndarray:
     t = (np.arange(n, dtype=np.float64) - (n - 1) / 2.0) / sample_rate_hz
     t.flags.writeable = False
     return t
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)  # the last set only, so SEARCH_TABLE_BUDGET bounds the cache too
 def _search_tables(n, sample_rate_hz, fraction):
     """Fine-grid offsets (Hz), their correlation bank, and the interpolated search's factors.
 
@@ -297,7 +290,7 @@ def estimate_amp_phase(
     n = windowed_block.size
     t = _centered_times(n, sample_rate_hz)
     c = np.dot(windowed_block, np.exp(-2j * np.pi * freq_hz * t)) / n
-    amp = abs(c) / _window_mean(window, n)
+    amp = abs(c) / float(np.mean(window_values(window, n)))
     return float(amp), wrap_phase(float(np.angle(c)))
 
 
@@ -310,20 +303,19 @@ def subtract_sinusoid(
     return block - tone
 
 
-def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
+def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index, tables):
     """Peel loop over a (B, N) batch: each round handles every still-detecting block.
 
     The winning fine-grid correlation gives amplitude, phase and the tone to
     subtract.  Still-detecting rows stay compacted in `work`; a block that stops
     leaves with the floor of its last detection.
     Returns the batch's table, its blocks numbered from first_index and centered
-    at t_centers.
+    at t_centers; tables are _search_tables(N, sample_rate_hz, config.fine_grid_fraction).
     """
     n = config.block_len_n
-    w = window_values(config.window, n)
-    w_mean = _window_mean(config.window, n)
-    offsets_hz, bank, probes, lagrange = _search_tables(n, sample_rate_hz,
-                                                        config.fine_grid_fraction)
+    w, t = window_values(config.window, n), _centered_times(n, sample_rate_hz)
+    w_mean = float(np.mean(w))
+    offsets_hz, bank, probes, lagrange = tables
     work, exps = _normalize(blocks)  # outputs are scaled back by 2**exps
     floors = np.zeros(len(work))
     active = np.arange(len(work))
@@ -341,7 +333,7 @@ def _estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
         coarse[coarse >= sample_rate_hz / 2] -= sample_rate_hz
         # the mixer depends only on the coarse bin: one row per distinct bin
         bin_hz, row_of = np.unique(coarse, return_inverse=True)
-        mixer = np.exp(-2j * np.pi * bin_hz[:, None] * _centered_times(n, sample_rate_hz))[row_of]
+        mixer = np.exp(-2j * np.pi * bin_hz[:, None] * t)[row_of]
         np.multiply(windowed, mixer, out=windowed)
         # one row would take the matrix-vector path, which sums in another order
         corr = (windowed if active.size > 1 else np.repeat(windowed, 2, axis=0)) @ probes @ lagrange
@@ -384,7 +376,8 @@ def estimate_block(block: np.ndarray, config: StsaConfig, sample_rate_hz: float)
         raise ValueError(
             f"block length {block.size} != configured block_len_n {config.block_len_n}"
         )
-    return _estimate_blocks(block.reshape(1, -1), config, sample_rate_hz, np.zeros(1), 0)[0]
+    tables = _search_tables(block.size, sample_rate_hz, config.fine_grid_fraction)
+    return _estimate_blocks(block.reshape(1, -1), config, sample_rate_hz, np.zeros(1), 0, tables)[0]
 
 
 # Samples in flight, split evenly among the pool's threads: the working set is fixed.
@@ -414,7 +407,8 @@ def process_stream(stream: SampleStream, config: StsaConfig) -> Estimates:
     blocks = sliding_window_view(stream.samples, n)[::hop]
     t_centers = (np.arange(len(blocks)) * hop + (n - 1) / 2.0) / rate
     batch = max(1, _POOL_SAMPLES // (worker_count(len(blocks)) * n))
-    tables = on_pool(len(blocks), batch, lambda lo, hi: _estimate_blocks(
-        blocks[lo:hi], config, rate, t_centers[lo:hi], lo))
-    columns = zip(*(vars(t).values() for t in tables))  # each field across the batches
+    tables = _search_tables(n, rate, config.fine_grid_fraction)  # before the pool: one set
+    parts = on_pool(len(blocks), batch, lambda lo, hi: _estimate_blocks(
+        blocks[lo:hi], config, rate, t_centers[lo:hi], lo, tables))
+    columns = zip(*(vars(t).values() for t in parts))  # each field across the batches
     return Estimates(*map(np.concatenate, columns))

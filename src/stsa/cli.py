@@ -213,7 +213,7 @@ def cmd_cancel(args) -> int:
     _check_distinct_outputs(args.out_residual, args.out_estimate, args.out_tracks, args.report,
                             inputs=[args.input])
     empty = iq.SampleStream([], args.rate)  # checks --rate and --band before the input is read
-    band = empty.check_band(args.band) if args.band else None
+    band = metrics.report_band(empty, args.band) if args.band else None
     stream = iq.read_iq(args.input, fmt, args.rate)
     if band:  # the report needs one whole segment: fail before any output is written
         metrics.segment_count(len(stream), args.rate)
@@ -243,7 +243,7 @@ def cmd_analyze(args) -> int:
     fmt = IqFormat(args.format)
     empty = iq.SampleStream([], args.rate)  # checks --rate and --band before any input is read
     if args.mode == "suppression":
-        band = empty.check_band(args.band)
+        band = metrics.report_band(empty, args.band, args.res)
         before = iq.read_iq(args.before, fmt, args.rate)
         after = iq.read_iq(args.after, fmt, args.rate)
         report = metrics.suppression_report(before, after, band, resolution_hz=args.res)

@@ -121,6 +121,17 @@ def dynamic_spectrum(stream: SampleStream, t_res_s: float, f_res_hz: float) -> D
     return DynamicSpectrum(times, freqs, psd)
 
 
+def report_band(stream: SampleStream, band_hz, resolution_hz=DEFAULT_RESOLUTION_HZ):
+    """stream.check_band(band_hz), if it holds a bin centre of power_spectrum at resolution_hz."""
+    lo, hi = stream.check_band(band_hz)
+    seg_len = _segment_length(stream.sample_rate_hz, resolution_hz)
+    step = 1.0 / (seg_len * (1.0 / stream.sample_rate_hz))  # as np.fft.fftfreq: bin k at k * step
+    j = math.ceil(lo / step) - 1  # at or below lo, to rounding; a k < -seg_len / 2 lies below lo
+    if not any(lo <= k * step <= hi for k in range(j, min(j + 3, (seg_len + 1) // 2))):
+        raise ValueError(f"band ({lo}, {hi}) has no bin centre at {resolution_hz:g} Hz resolution")
+    return lo, hi
+
+
 def frame_band_power(frame: SpectrumFrame, band_hz: tuple[float, float]) -> float:
     """Integrate the PSD over [lo, hi] (band edges inclusive)."""
     lo, hi = band_hz
@@ -153,24 +164,19 @@ def suppression_report(
     The out-of-band comparison excludes a guard of one analysis bin on each
     side of the band so edge widening does not contaminate it.
     """
-    lo, hi = original.check_band(band_hz)
+    lo, hi = report_band(original, band_hz, resolution_hz)
     if original.sample_rate_hz != residual.sample_rate_hz:
         raise ValueError(f"original at {original.sample_rate_hz} Hz and residual at "
                          f"{residual.sample_rate_hz} Hz must share one sample rate")
     if len(original) != len(residual):
         raise ValueError("original and residual must have equal length")
-    frame_before = power_spectrum(original, resolution_hz)
-    frame_after = power_spectrum(residual, resolution_hz)
-    before = frame_band_power(frame_before, band_hz)
-    after = frame_band_power(frame_after, band_hz)
-    suppression = _log_ratio_db(before, after)
-
-    guard = frame_before.resolution_hz
-    out_mask = (frame_before.freqs_hz < lo - guard) | (frame_before.freqs_hz > hi + guard)
-    out_before = float(np.sum(frame_before.power[out_mask]) * frame_before.resolution_hz)
-    out_after = float(np.sum(frame_after.power[out_mask]) * frame_after.resolution_hz)
-    out_delta = _log_ratio_db(out_after, out_before)
-    return SuppressionReport((lo, hi), before, after, suppression, out_delta)
+    frames = power_spectrum(original, resolution_hz), power_spectrum(residual, resolution_hz)
+    before, after = (frame_band_power(f, (lo, hi)) for f in frames)
+    freqs, guard = frames[0].freqs_hz, frames[0].resolution_hz
+    out_band = (freqs < lo - guard) | (freqs > hi + guard)
+    out_before, out_after = (float(np.sum(f.power[out_band]) * f.resolution_hz) for f in frames)
+    return SuppressionReport((lo, hi), before, after, _log_ratio_db(before, after),
+                             _log_ratio_db(out_after, out_before))
 
 
 def format_report(report: SuppressionReport) -> str:

@@ -33,7 +33,6 @@ from stsa.blockproc import (
     _detect_rows,
     _normalize,
     _search_tables,
-    _window_mean,
     detect_peak,
     estimate_amp_phase,
     process_stream,
@@ -132,15 +131,16 @@ def reference_detect_rows(windowed: np.ndarray, threshold_db: float):
     return bins, peak, floor, (peak > (n * 2.0**-52) ** 2) & (ratio >= 10.0 ** (threshold_db / 10.0))
 
 
-def reference_estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index):
+def reference_estimate_blocks(blocks, config, sample_rate_hz, t_centers, first_index, tables):
     """Peel loop over a (B, N) batch: each round handles every still-detecting block.
 
     The winning fine-grid correlation gives amplitude, phase and the tone to
     subtract; a block that stops keeps the floor of its failed detection.
+    It builds its own tables and ignores the kernel's, so those are checked too.
     """
     n = config.block_len_n
     w = window_values(config.window, n)
-    w_mean = _window_mean(config.window, n)
+    w_mean = float(np.mean(w))
     offsets_hz, bank, probes, lagrange = _search_tables(n, sample_rate_hz,
                                                         config.fine_grid_fraction)
     residual, exps = _normalize(blocks)  # outputs are scaled back by 2**exps

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -9,12 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stsa import blockproc
 from stsa.blockproc import (
     WINDOW_NAMES,
     StsaConfig,
-    _centered_times,
     _search_tables,
-    _window_mean,
     detect_peak,
     estimate_amp_phase,
     estimate_block,
@@ -93,19 +93,44 @@ class TestConfig:
         with pytest.raises(ValueError, match="over the budget"):
             StsaConfig(block_len_n=n + 1, fine_grid_fraction=fraction)
 
-    def test_capture_without_a_block_builds_nothing(self):
+    def test_capture_without_a_block_builds_nothing(self, monkeypatch):
         stream = SampleStream(np.ones(1000, complex), RATE)
         config = StsaConfig(block_len_n=65536)
-        caches = (window_values, _window_mean, _centered_times, _search_tables)
-        before = [cache.cache_info() for cache in caches]
+        before = _search_tables.cache_info()
+        for name in ("window_values", "_centered_times"):  # uncached: a call would raise
+            monkeypatch.setattr(blockproc, name, lambda *args: pytest.fail("a table was built"))
         table = process_stream(stream, config)
-        assert [cache.cache_info() for cache in caches] == before
+        monkeypatch.undo()
+        assert _search_tables.cache_info() == before
         assert len(table) == 0 and list(table) == []
         assert [(c.dtype, c.size) for c in vars(table).values()] == (
             [(np.intp, 0)] * 2 + [(np.float64, 0)] * 5)
         result = run_cancel(stream, config)
         assert result.residual.samples.tobytes() == stream.samples.tobytes()
         assert [len(tracks) for _, tracks in result.passes] == [0]
+
+    def test_one_table_set_stays_cached(self):
+        # each sample rate keys its own tables; a process keeps only the last set
+        for k in range(8):
+            stream = SampleStream(np.ones(4096, complex), RATE * (1 + k / 8))
+            assert len(process_stream(stream, StsaConfig(block_len_n=4096))) == 1
+        assert _search_tables.cache_info().currsize == 1
+
+    def test_tables_are_built_once_per_call_before_the_pool(self, monkeypatch):
+        # the pool's threads share the calling thread's tables rather than each looking them up
+        calls = []
+        build = blockproc._search_tables
+
+        def recorded(*args):
+            calls.append(threading.get_ident())
+            return build(*args)
+
+        monkeypatch.setattr(blockproc, "_search_tables", recorded)
+        monkeypatch.setattr(blockproc, "_POOL_SAMPLES", 4 * N)
+        monkeypatch.setattr(blockproc, "worker_count", lambda jobs: min(4, jobs))
+        stream = SampleStream(np.ones(64 * N, complex), RATE)
+        assert len(process_stream(stream, StsaConfig())) == 64
+        assert calls == [threading.get_ident()]
 
     def test_threshold_rejected_exactly_where_its_power_ratio_overflows(self):
         def overflows(threshold_db):
@@ -155,7 +180,7 @@ class TestWindows:
         # the mean is the coherent gain the estimator divides out
         for name in ("triangular", "hamming", "rectangular"):
             out = np.ones(64, complex) * window_values(name, 64)
-            np.testing.assert_allclose(out.sum().real, 64 * _window_mean(name, 64))
+            np.testing.assert_allclose(out.sum().real, 64 * float(np.mean(window_values(name, 64))))
 
     def test_triangular_mean_near_half(self):
         # The window-gain correction is the factor of 2 in the large-N limit.

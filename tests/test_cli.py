@@ -597,6 +597,33 @@ class TestParameterErrors:
             "--out-tracks", str(outputs[2]), "--report", str(outputs[3])],
             "stream too short: need at least 16384 samples", outputs)
 
+    @pytest.mark.parametrize("band,code", [(("10", "100"), 2), (("0", "100"), 0)])
+    def test_cancel_band_needs_a_bin_centre(self, tmp_path, capsys, band, code):
+        # the default 125 Hz bins are centred at multiples of 125 Hz: none lies in 10..100 Hz
+        src = self.tone_file(tmp_path)
+        outputs = [tmp_path / "r.iq", tmp_path / "rep.csv"]
+        argv = ["cancel", "--in", str(src), "--rate", RATE, "--band", *band,
+                "--out-residual", str(outputs[0]), "--report", str(outputs[1])]
+        if code:
+            self.expect_error(capsys, argv, "band (10.0, 100.0) has no bin centre at 125 Hz "
+                              "resolution", outputs)
+        else:
+            assert run(argv) == 0
+            assert outputs[1].read_text().startswith(metrics.REPORT_CSV_HEADER + "\n0.000000,")
+
+    @pytest.mark.parametrize("res,code", [([], 2), (["--res", "20"], 0)])
+    def test_analyze_suppression_band_needs_a_bin_centre_at_its_res(self, tmp_path, capsys, res,
+                                                                    code):
+        # read at 48 kHz, the 16,384 samples hold one 2,400-sample segment of 20 Hz bins
+        src, out = self.tone_file(tmp_path), tmp_path / "rep.csv"
+        argv = ["analyze", "suppression", "--before", str(src), "--after", str(src), "--band",
+                "10", "100", "--rate", "48000", *res, "--out", str(out)]
+        if code:
+            self.expect_error(capsys, argv, "band (10.0, 100.0) has no bin centre at 125 Hz "
+                              "resolution", [out])
+        else:
+            assert run(argv) == 0 and out.exists()
+
     @pytest.mark.parametrize("flags", [["--grid-frac", "1e-7"], ["--n", "16777216"]])
     def test_cancel_search_table_over_budget(self, tmp_path, flags):
         # a child under a 2 GiB address-space cap: a table built anyway fails fast, not the host
@@ -797,6 +824,9 @@ class TestParameterErrors:
         (["analyze", "suppression", "--band", "1", "5", "--rate=0"],
          "sample_rate_hz must be positive and finite"),
         (["analyze", "spectrum", "--rate=nan"], "sample_rate_hz must be positive and finite"),
+        (["cancel", "--band", "10", "100"], "band (10.0, 100.0) has no bin centre at 125 Hz"),
+        (["analyze", "suppression", "--band", "10", "100"],
+         "band (10.0, 100.0) has no bin centre at 125 Hz"),
     ])
     def test_rate_and_band_checked_before_the_input_is_read(self, tmp_path, capsys, argv,
                                                             message):

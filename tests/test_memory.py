@@ -68,6 +68,20 @@ def test_estimator_peaks_under_a_quarter_more_than_the_stream():
     assert peak < 1.25 * samples * np.dtype(np.complex128).itemsize
 
 
+def test_estimator_peak_holds_at_any_worker_count(monkeypatch):
+    # At N = 16,384 the fine search's bank is 201 x 16,384 complex values (50 MiB).  The call
+    # builds it once, before its pool starts, so more threads share one set of tables.
+    stream = tone_in_noise(2**20)
+    config = StsaConfig(block_len_n=16384)
+    peaks = []
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(blockproc, "worker_count", lambda jobs, k=workers: max(1, min(k, jobs)))
+        blockproc._search_tables.cache_clear()  # so each call builds its tables while traced
+        peaks.append(traced_peak(lambda: process_stream(stream, config)))
+    blockproc._search_tables.cache_clear()
+    assert max(peaks) < 1.1 * min(peaks), [p / 2**20 for p in peaks]
+
+
 def cancel_with_estimate_peak(tmp_path, samples) -> int:
     src = tmp_path / "in.iq"
     write_iq(tone_in_noise(samples), src, IqFormat.FLOAT32)

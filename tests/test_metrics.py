@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from stsa import metrics
 from stsa.iq import SampleStream
@@ -13,6 +15,7 @@ from stsa.metrics import (
     frame_band_power,
     format_report,
     power_spectrum,
+    report_band,
     suppression_report,
     write_dynamic_spectrum_csv,
     write_report_csv,
@@ -275,6 +278,38 @@ class TestInputChecks:
         stream, _ = gen_tone(1.0, 0.0, 0.0, 16384, RATE)
         with pytest.raises(ValueError, match="Nyquist span"):
             suppression_report(stream, stream, band)
+
+    @pytest.mark.parametrize("band", [(10.0, 100.0), (-100.0, -10.0), (126.0, 240.0),
+                                      (1023950.0, 1024000.0)])
+    def test_band_without_a_bin_centre_rejected(self, band):
+        # 125 Hz bins are centred at multiples of 125 Hz; +Fs/2 is no centre, -Fs/2 is
+        stream, _ = gen_tone(1.0, 50.0, 0.0, 16384, RATE)
+        message = re.escape(f"band {band} has no bin centre at 125 Hz resolution")
+        with pytest.raises(ValueError, match=message):
+            suppression_report(stream, stream, band)
+        with pytest.raises(ValueError, match=message):
+            report_band(SampleStream([], RATE), band)
+        assert report_band(SampleStream([], RATE), (-1024000.0, -1023950.0)) == (
+            -1024000.0, -1023950.0)
+
+
+@given(seg_len=st.integers(1, 40), rate=st.sampled_from([1000.0, 48000.0, 2048000.0, 3e6 + 1]),
+       data=st.data())
+def test_report_band_accepts_a_band_iff_the_report_sums_a_bin_of_it(seg_len, rate, data):
+    """report_band's arithmetic agrees with the spectrum's own centres, ulp for ulp."""
+    stream = SampleStream(np.zeros(seg_len), rate)
+    res = rate / seg_len
+    freqs = power_spectrum(stream, res).freqs_hz
+    centres = [*freqs.tolist(), -rate / 2, rate / 2]
+    edge = st.one_of(st.sampled_from(centres).flatmap(lambda f: st.sampled_from(
+        [np.nextafter(f, -np.inf), f, np.nextafter(f, np.inf)])), st.floats(-rate / 2, rate / 2))
+    lo, hi = sorted(float(min(max(data.draw(edge), -rate / 2), rate / 2)) for _ in range(2))
+    assume(lo < hi)
+    if ((freqs >= lo) & (freqs <= hi)).any():
+        assert report_band(stream, (lo, hi), res) == (lo, hi)
+    else:
+        with pytest.raises(ValueError, match="has no bin centre"):
+            report_band(stream, (lo, hi), res)
 
 
 def test_silent_streams_report_zero_db():
