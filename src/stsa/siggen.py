@@ -152,16 +152,16 @@ def gen_tone(
     _check_nyquist(f_hz, sample_rate_hz)
     if not math.isfinite(psi_rad):
         raise ValueError("psi_rad must be finite")
-    truth = TruthRecord(
-        np.full(n, f_hz), np.full(n, float(amp)), float(psi_rad), sample_rate_hz
-    )
+    f, a = np.broadcast_to(float(f_hz), n), np.broadcast_to(float(amp), n)  # read-only views
+    truth = TruthRecord(f, a, float(psi_rad), sample_rate_hz)
     return SampleStream(waveform_from_truth(truth), sample_rate_hz), truth
 
 
 def _lowpass(x: np.ndarray, stop: int) -> np.ndarray:
+    """Brick-wall low-pass of x at rfft bin stop, written back into x."""
     spectrum = np.fft.rfft(x)
     spectrum[stop:] = 0.0
-    return np.fft.irfft(spectrum, x.size)
+    return np.fft.irfft(spectrum, x.size, out=x)
 
 
 def _tone_sum(n: int, tones, sample_rate_hz: float) -> np.ndarray:
@@ -196,8 +196,8 @@ def _bandlimited_noise(
     rng = np.random.default_rng(seed)
     m = _lowpass(rng.standard_normal(n), stop)
     if rms_target is None or stop == 1:
-        peak = np.max(np.abs(m))
-        return m / peak if peak > 0 else m
+        m /= max(m.max(), -m.min()) or 1.0  # the peak of |m|; a zero waveform stays zero
+        return m
     for _ in range(5):
         if not (spread := np.std(m)):  # a clip saturated every sample: a constant is left
             break
@@ -223,7 +223,7 @@ def gen_nbfm(spec: NbfmSpec, sample_rate_hz: float) -> tuple[SampleStream, Truth
         m = _tone_sum(n, spec.mod_tones, sample_rate_hz)
     m *= spec.deviation_hz
     m += spec.carrier_offset_hz
-    truth = TruthRecord(m, np.full(n, float(spec.amp)), 0.0, sample_rate_hz)
+    truth = TruthRecord(m, np.broadcast_to(float(spec.amp), n), 0.0, sample_rate_hz)
     return SampleStream(waveform_from_truth(truth), sample_rate_hz), truth
 
 
@@ -246,7 +246,7 @@ def gen_am(
     envelope = _tone_sum(n, ((mod_freq_hz, mod_index),), sample_rate_hz)
     envelope += 1.0
     envelope *= a0
-    truth = TruthRecord(np.full(n, carrier_offset_hz), envelope, 0.0, sample_rate_hz)
+    truth = TruthRecord(np.broadcast_to(float(carrier_offset_hz), n), envelope, 0.0, sample_rate_hz)
     return SampleStream(waveform_from_truth(truth), sample_rate_hz), truth
 
 
@@ -304,5 +304,7 @@ def add_awgn(
 
 def write_truth_csv(truth: TruthRecord, path) -> None:
     """Sidecar truth table with TRUTH_CSV_HEADER's columns, one row per sample."""
-    f, a = truth.f_inst_hz.tolist(), truth.amplitude.tolist()
-    write_csv(path, TRUTH_CSV_HEADER, "%d,%.6f,%.9g", zip(range(len(f)), f, a))
+    f, a = truth.f_inst_hz, truth.amplitude
+    rows = (row for lo in range(0, f.size, _CHUNK) for row in zip(  # _CHUNK rows at a time
+        range(lo, lo + _CHUNK), f[lo : lo + _CHUNK].tolist(), a[lo : lo + _CHUNK].tolist()))
+    write_csv(path, TRUTH_CSV_HEADER, "%d,%.6f,%.9g", rows)

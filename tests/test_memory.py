@@ -125,15 +125,28 @@ def tone():
 
 
 @pytest.mark.parametrize("build,copies", [
-    # a generator returns two copies, the stream and the truth's two float64 columns, and
-    # builds them in place with chunk-sized temporaries
-    (lambda _: siggen.gen_tone(1.0, 1000.0, 0.5, GEN_SAMPLES, RATE), 2.75),
-    (lambda _: siggen.gen_am(10000.0, 1.0, 0.5, 50.0, GEN_SAMPLES, RATE), 2.75),
-    # the clip-and-filter loop adds half-copy waveforms and spectra
-    (lambda _: siggen.gen_nbfm(FM_SPEC, RATE), 3.25),
+    # a generator returns the stream (one copy) and the truth's columns, half a copy each
+    # unless constant: a constant column is a zero-stride view.  It builds them in place with
+    # chunk-sized temporaries, so gen_tone returns one copy and gen_am one and a half
+    (lambda _: siggen.gen_tone(1.0, 1000.0, 0.5, GEN_SAMPLES, RATE), 1.25),
+    (lambda _: siggen.gen_am(10000.0, 1.0, 0.5, 50.0, GEN_SAMPLES, RATE), 1.75),
+    # the clip-and-filter loop low-passes its waveform in place; its half-copy spectrum is
+    # freed before the stream is built
+    (lambda _: siggen.gen_nbfm(FM_SPEC, RATE), 1.9),
     # one copy out: no complex noise array, no stack of the mixed streams
     (lambda stream: siggen.add_awgn(stream, 30.0, (-5000.0, 5000.0), 1), 1.6),
     (lambda stream: siggen.mix([stream] * 3), 1.25),
 ], ids=["gen_tone", "gen_am", "gen_nbfm_rms_noise", "add_awgn", "mix_of_three"])
 def test_generator_peaks_near_its_output(tone, build, copies):
     assert traced_peak(lambda: build(tone)) < copies * GEN_COPY
+
+
+def test_truth_csv_peak_is_flat_in_the_row_count(tmp_path):
+    # the rows are formatted 2^16 at a time, so no stream-length list of Python floats; two and
+    # four chunks show it (tracing the formatting costs ~10 us a row)
+    peaks = []
+    for samples in (2**17, 2**18):
+        amplitude = np.linspace(0.0, 1.0, samples)
+        truth = siggen.TruthRecord(np.broadcast_to(1000.0, samples), amplitude, 0.0, RATE)
+        peaks.append(traced_peak(lambda: siggen.write_truth_csv(truth, tmp_path / "t.csv")))
+    assert peaks[1] < 1.1 * peaks[0], [p / 2**20 for p in peaks]

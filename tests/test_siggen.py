@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import siggen_reference
+import writers_reference
 from stsa.iq import SampleStream
 from stsa.siggen import (
     NbfmSpec,
@@ -338,6 +339,36 @@ def test_truth_csv_matches_savetxt(tmp_path, f_inst_hz, amplitude):
     write_truth_csv(truth, tmp_path / "fast.csv")
     savetxt_truth_csv(truth, tmp_path / "oracle.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3])
+def test_truth_csv_across_chunk_edges(tmp_path, n):
+    # the writer formats 2^16 rows at a time; a constant column is a zero-stride view
+    amplitude = np.random.default_rng(n).uniform(0.0, 2.0, n)
+    truth = TruthRecord(np.broadcast_to(-12345.678901, n), amplitude, 0.0, RATE)
+    write_truth_csv(truth, tmp_path / "chunked.csv")
+    writers_reference.write_truth_csv(truth, tmp_path / "oracle.csv")
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+AM_ARGS = (5000, 2.0, 0.5, 700.0, 4096, RATE)  # an int offset: the column is float64 all the same
+FM_SPEC = NbfmSpec(25000.0, 4000.0, 0.002, amp=0.25, mod_tones=((1000.0, 1.0),))
+
+
+@pytest.mark.parametrize("build,oracle,columns", [
+    (lambda: gen_tone(1, 82000, 0.3, 4096, RATE),
+     lambda: siggen_reference.gen_tone(1, 82000, 0.3, 4096, RATE), ("f_inst_hz", "amplitude")),
+    (lambda: gen_am(*AM_ARGS), lambda: siggen_reference.gen_am(*AM_ARGS), ("f_inst_hz",)),
+    (lambda: gen_nbfm(FM_SPEC, RATE), lambda: siggen_reference.gen_nbfm(FM_SPEC, RATE),
+     ("amplitude",)),
+], ids=["gen_tone", "gen_am", "gen_nbfm"])
+def test_constant_truth_columns_are_read_only_views(build, oracle, columns):
+    truth = build()[1]
+    want = dict(zip(("f_inst_hz", "amplitude"), oracle()[1:]))
+    for name in columns:
+        got = getattr(truth, name)
+        assert got.dtype == np.float64 and got.strides == (0,) and not got.flags.writeable
+        assert got.tobytes() == np.asarray(want[name], np.float64).tobytes()
 
 
 class TestInputChecks:

@@ -1,16 +1,19 @@
-"""Peak RSS and wall time of `stsa cancel` children, two source trees side by side.
+"""Peak RSS of the capture build and of `stsa cancel` children, two source trees side by side.
 
 Run from the repository root, with the src/ directories of the two commits:
 
     python3 tools/child_rss.py PARENT_SRC CHANGE_SRC WORKLOAD
 
-A helper process builds the workload's seed-0 capture with PARENT_SRC and the
-cancel arguments through perfbench/run.py.  This launcher imports no numpy
-and forks each child, so a child's ru_maxrss (os.wait4) is its own peak and
-not the launcher's: a /bin/true child must read under 10 MiB first.  It then
-runs 10 pairs of `stsa cancel` children, alternating which tree goes first,
-and prints each side's median and quartiles of wall time and peak RSS, the
-pairs the change won, and whether the two trees wrote the same bytes.
+One helper process per tree builds the workload's seed-0 capture through
+perfbench/run.py, as the benchmark does before it times `stsa cancel`, and
+records its own VmHWM, the build's peak: exec gave it a new address space.
+The tool prints each tree's build peak and exits if the two captures differ.
+This launcher imports no numpy and forks each child, so a child's ru_maxrss
+(os.wait4) is its own peak and not the launcher's: a /bin/true child must
+read under 10 MiB first.  It then runs 10 pairs of `stsa cancel` children on
+the parent's capture, alternating which tree goes first, and prints each
+side's median and quartiles of wall time and peak RSS, the pairs the change
+won, and whether the two trees wrote the same bytes.
 """
 
 import os
@@ -32,17 +35,20 @@ FLOOR_MIB = 10.0
 BUILD = """
 import json, sys
 from pathlib import Path
-tree, perfbench, name, workdir = sys.argv[1:]
+tree, perfbench, name, workdir, built = sys.argv[1:]
 sys.path[:0] = [tree, perfbench]
 import run  # first: it fixes the BLAS threads before numpy loads
 import stsa
 from workloads import WORKLOADS
 workload, work = WORKLOADS[name], Path(workdir)
-capture = work / f"input.{workload.fmt}"
+capture = work / f"input_{built}.{workload.fmt}"
 run.build_input(stsa, workload, 0, capture, 1)
 argv = {side: [sys.executable, "-c", run.CLI_ENTRY, *run.cancel_argv(workload, capture, work / side)]
         for side in ("parent", "change")}
-(work / "plan.json").write_text(json.dumps({"argv": argv, "env": run.child_env()}))
+with open("/proc/self/status") as fh:
+    vmhwm_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+plan = {"argv": argv, "env": run.child_env(), "capture": str(capture), "build_mib": vmhwm_kib / 1024}
+(work / f"plan_{built}.json").write_text(json.dumps(plan))
 """
 
 
@@ -88,10 +94,17 @@ def main(parent_src, change_src, workload) -> None:
         print(f"/bin/true child: {floor:.1f} MiB")
         if floor >= FLOOR_MIB:
             sys.exit(f"the launcher's own RSS leaks into its children ({floor:.1f} MiB)")
-        run_child([sys.executable, "-c", BUILD, trees["parent"], PERFBENCH, workload, work],
-                  dict(os.environ), log)
-        with open(os.path.join(work, "plan.json")) as fh:
-            plan = json.load(fh)
+        plans = {}
+        for side, tree in trees.items():
+            run_child([sys.executable, "-c", BUILD, tree, PERFBENCH, workload, work, side],
+                      dict(os.environ), log)
+            with open(os.path.join(work, f"plan_{side}.json")) as fh:
+                plans[side] = json.load(fh)
+            print(f"{workload} {side:6s} build VmHWM MiB {plans[side]['build_mib']:8.1f}")
+        if not same_bytes(*(plans[side]["capture"] for side in trees)):
+            sys.exit(f"{workload}: the two trees built different captures")
+        os.remove(plans["change"]["capture"])
+        plan = plans["parent"]
         envs = {side: {**plan["env"], "PYTHONPATH": tree} for side, tree in trees.items()}
         for side in trees:
             os.mkdir(os.path.join(work, side))
